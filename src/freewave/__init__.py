@@ -11,8 +11,7 @@ from .reaction import (ReactionSpec, classify, cubic_bistable, derivative_at,
                        evaluate, from_json, logistic, polynomial, primitive_at,
                        to_json)
 from .ode_core import (EventSpec, IntegratorConfig, RootBracket, Trajectory,
-                       bisect_predicate, bracket_sign_change,
-                       find_root_monotone, integrate)
+                       bisect_predicate, find_root_monotone, integrate)
 from .phase_plane import (SemiWave, TrajectoryOutcome, critical_speed_decreasing,
                           critical_speed_increasing, front_profile,
                           profile_residual, semiwave_profile,
@@ -38,7 +37,7 @@ __all__ = [
     "ReactionSpec", "classify", "cubic_bistable", "derivative_at", "evaluate",
     "from_json", "logistic", "polynomial", "primitive_at", "to_json",
     "EventSpec", "IntegratorConfig", "RootBracket", "Trajectory",
-    "bisect_predicate", "bracket_sign_change", "find_root_monotone", "integrate",
+    "bisect_predicate", "find_root_monotone", "integrate",
     "SemiWave", "TrajectoryOutcome", "critical_speed_decreasing",
     "critical_speed_increasing", "front_profile", "profile_residual",
     "semiwave_profile", "semiwave_profile_increasing", "semiwave_slope",

@@ -13,8 +13,8 @@ verify      simulate an assembled two-species wave in the front frame
 Reactions are given as family strings: "logistic", "cubic:THETA", or
 "poly:c0,c1,..." (classified automatically). A JSON config file may supply
 any long option (flags override it). FREEWAVE_TOL overrides the default
-root-finding tolerance. Exit codes: 0 success, 2 usage error, 3 invalid
-value or schema, 4 infeasible configuration.
+root-finding tolerance of speed and compact. Exit codes: 0 success, 2 usage
+error, 3 invalid value or schema, 4 infeasible configuration.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", help="JSON file supplying defaults for long options")
         sp.add_argument("--out", help="directory for CSV/JSON outputs")
         sp.add_argument("--plot", action="store_true", help="also write an SVG plot")
-        sp.add_argument("--tol", type=float, help="root tolerance override")
 
     sp = sub.add_parser("speed", help="critical speeds of one reaction term")
     sp.add_argument("--reaction", help="reaction family string")
+    sp.add_argument("--tol", type=float, help="root tolerance override")
     add_common(sp)
 
     sp = sub.add_parser("semiwave", help="semi-wave profile at a given speed")
@@ -109,6 +109,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--f2", help="reaction of the middle species")
     sp.add_argument("--sigma", type=float, help="apex height")
     sp.add_argument("--c", type=float, help="wave speed (omit for window only)")
+    sp.add_argument("--tol", type=float, help="root tolerance override")
     add_common(sp)
 
     sp = sub.add_parser("two", help="assemble a two-species wave")
@@ -184,16 +185,29 @@ def _resolve(args, cfg: dict, key: str, required: bool = False, cast=None):
     return val
 
 
+def _positive(args, cfg: dict, key: str, default, cast=float):
+    """Like _resolve, with a default, rejecting values that are not positive."""
+    val = _resolve(args, cfg, key, cast=cast)
+    if val is None:
+        return default
+    if not val > 0:
+        raise SchemaError("--%s must be positive, got %r" % (key, val))
+    return val
+
+
 def _default_tol(args, cfg) -> float:
-    tol = _resolve(args, cfg, "tol", cast=float)
+    tol = _positive(args, cfg, "tol", None)
     if tol is not None:
         return tol
     env = os.environ.get("FREEWAVE_TOL")
     if env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise SchemaError("FREEWAVE_TOL is not a number: %r" % env)
+        if not tol > 0:
+            raise SchemaError("FREEWAVE_TOL must be positive, got %r" % env)
+        return tol
     return 1e-8
 
 def _out_dir(args, cfg):
@@ -237,7 +251,7 @@ def _cmd_semiwave(args) -> int:
     cfg = _load_config(args)
     spec = parse_reaction(_resolve(args, cfg, "f", required=True))
     c = _resolve(args, cfg, "c", required=True, cast=float)
-    far_tol = _resolve(args, cfg, "far-tol", cast=float) or 1e-8
+    far_tol = _positive(args, cfg, "far-tol", 1e-8)
     prof = phase_plane.semiwave_profile(spec, c, far_tol=far_tol)
     rc = _resolved_config("semiwave", f=spec, c=c, far_tol=far_tol)
     mode = "semiwave" if prof.z[-1] == 0.0 else "front"
@@ -412,9 +426,9 @@ def _cmd_dispersion(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     f, g, alpha, beta = _two_from_args(args, cfg)
-    L = _resolve(args, cfg, "L", cast=float) or 40.0
-    N = _resolve(args, cfg, "N", cast=int) or 2000
-    T = _resolve(args, cfg, "T", cast=float) or 20.0
+    L = _positive(args, cfg, "L", 40.0)
+    N = _positive(args, cfg, "N", 2000, cast=int)
+    T = _positive(args, cfg, "T", 20.0)
     wave = matching.solve_two_species(f, g, alpha, beta)
     report = pde_verify.run(wave, L=L, N=N, T=T)
     rel = abs(report.mean_speed - wave.c) / max(abs(wave.c), 1e-12)

@@ -2,20 +2,18 @@
 
 The middle species of a three-species wave occupies a finite interval in
 the wave frame: phi2 > 0 on (0, W), phi2(0) = phi2(W) = 0, with a single
-apex where phi2' = 0. Given the apex height sigma, the two halves are
-trajectories of the profile equation phi'' + c phi' + f2(phi) = 0 launched
-from the apex state (sigma, 0):
+apex where phi2' = 0. Given the apex height sigma, each half is a shot of
+the profile equation phi'' + c phi' + f2(phi) = 0 launched forward in z
+from the apex state (sigma, 0), the same shot that builds semi-waves:
 
-* the left half is integrated backward in z (s = -z frame), ending where
-  phi falls through 0 with edge slope omega_l > 0;
-* the right half is integrated forward in z, ending with omega_r < 0.
+* the right half at speed c is the forward shot at c, ending where phi
+  falls through 0 with edge slope omega_r < 0;
+* the left half at speed c is the forward shot at -c under the reflection
+  (z, p) -> (-z, -p), so omega_l(c) = -omega_r(-c) > 0 and c*_l = -c*_r
+  exactly.
 
-The substitution (z, p) -> (-z, -p) maps forward dynamics at speed c onto
-backward dynamics at -c, so every forward-side quantity is computed by
-that reflection; omega_r(c) = -omega_l(-c) and c*_r = -c*_l exactly.
-
-A left connection exists for c above a critical left-edge speed c*_l < 0:
-below it the backward flow is no longer able to reach phi = 0 (it spirals
+A right connection exists for c below a critical right-edge speed
+c*_r > 0: above it the flow is no longer able to reach phi = 0 (it spirals
 into an interior equilibrium for bistable terms, or relaxes into the
 origin node for monostable ones). Existence at c = 0 requires positive
 apex energy F2(sigma) > 0, with edge slope sqrt(2 F2(sigma)) there by the
@@ -32,14 +30,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import Infeasible, NoSemiWave
-from .ode_core import EventSpec, IntegratorConfig, bisect_predicate, integrate
-from .phase_plane import (CONVERGES, CROSSES, DENSE_MAX_STEP, PURE_REL_ABS_TOL,
-                          SLOPE_FLOOR, SLOPE_REL_TOL, STALLS, STOP_SPEED_EPS,
-                          TAG_REL_TOL, Z_CAP_TAG, TrajectoryOutcome,
+from .phase_plane import (CROSSES, SLOPE_REL_TOL, TAG_REL_TOL, Z_CAP_TAG,
+                          TrajectoryOutcome, _classify, _last_crossing_speed,
+                          _run_shot, critical_speed_decreasing,
                           critical_speed_increasing)
 from .reaction import ReactionSpec, evaluate, primitive_at
-
-_CAPTURE_PHI_FLOOR = 1e-2
 
 
 def _check_apex(f2: ReactionSpec, sigma: float) -> None:
@@ -54,47 +49,12 @@ def _check_apex(f2: ReactionSpec, sigma: float) -> None:
             % (sigma, primitive_at(f2, sigma)))
 
 
-def _apex_events():
-    def ev_cross(s, y):
-        return y[0]
-
-    def ev_capture(s, y):
-        return max(abs(y[1]) - STOP_SPEED_EPS, _CAPTURE_PHI_FLOOR - y[0])
-
-    return (
-        EventSpec(ev_cross, terminal=True, direction=-1.0, name="cross"),
-        EventSpec(ev_capture, terminal=True, direction=-1.0, name="capture"),
-    )
-
-
-def _apex_shoot_backward(f2: ReactionSpec, sigma: float, c: float,
-                         z_max: float, rel_tol: float, dense: bool = False):
-    """Backward (left-half) shot from (sigma, 0) in the frame s = -z.
-
-    There u' = -p, p' = c p + f2(u); a crossing of u = 0 means the left
-    edge is reached, with original-frame slope p > 0.
-    """
+def _apex_shot(f2: ReactionSpec, sigma: float, c: float, z_max: float,
+               rel_tol: float, dense: bool = False):
+    """Forward shot from the apex (sigma, 0) at speed c: the right half at c."""
     _check_apex(f2, sigma)
-
-    def rhs(s, y):
-        return (-y[1], c * y[1] + evaluate(f2, y[0]))
-
-    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=PURE_REL_ABS_TOL,
-                           max_step=DENSE_MAX_STEP if dense else float("inf"))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        traj = integrate(rhs, (0.0, z_max), (sigma, 0.0), cfg,
-                         events=_apex_events(), dense_output=dense)
-    hit = traj.first_event(0)
-    if hit is not None:
-        s_c, y_c = hit
-        if y_c[1] >= SLOPE_FLOOR:
-            return TrajectoryOutcome(CROSSES, c, s_c, 0.0, y_c[1]), traj
-        return TrajectoryOutcome(CONVERGES, c, s_c, y_c[0], y_c[1]), traj
-    hit = traj.first_event(1)
-    if hit is not None:
-        s_s, y_s = hit
-        return TrajectoryOutcome(STALLS, c, s_s, y_s[0], y_s[1]), traj
-    return TrajectoryOutcome(CONVERGES, c, traj.t[-1], traj.y[0, -1], traj.y[1, -1]), traj
+    traj = _run_shot(f2, c, (sigma, 0.0), z_max, rel_tol, dense=dense)
+    return _classify(traj, c), traj
 
 
 def apex_shoot(f2: ReactionSpec, sigma: float, c: float,
@@ -102,57 +62,48 @@ def apex_shoot(f2: ReactionSpec, sigma: float, c: float,
                rel_tol: float = TAG_REL_TOL) -> TrajectoryOutcome:
     """Shot from the apex state (sigma, 0) in the given z-direction.
 
-    Backward shots trace the left half (crossing slope > 0); forward shots
-    trace the right half (crossing slope < 0) and are computed by the exact
-    (z, p) -> (-z, -p) reflection of a backward shot at -c.
+    Forward shots trace the right half (crossing slope < 0); backward shots
+    trace the left half (crossing slope > 0) and are computed by the exact
+    (z, p) -> (-z, -p) reflection of a forward shot at -c.
     """
-    if direction == "backward":
-        res, _ = _apex_shoot_backward(f2, sigma, c, z_max, rel_tol)
-        return res
     if direction == "forward":
-        res, _ = _apex_shoot_backward(f2, sigma, -c, z_max, rel_tol)
+        res, _ = _apex_shot(f2, sigma, c, z_max, rel_tol)
+        return res
+    if direction == "backward":
+        res, _ = _apex_shot(f2, sigma, -c, z_max, rel_tol)
         return TrajectoryOutcome(res.tag, c, res.z_stop, res.phi_stop, -res.dphi_stop)
     raise ValueError("direction must be 'backward' or 'forward', got %r" % (direction,))
 
 
 @functools.lru_cache(maxsize=8192)
-def _left_slope_cached(f2: ReactionSpec, sigma: float, c: float, rel_tol: float) -> float:
-    res, _ = _apex_shoot_backward(f2, sigma, c, Z_CAP_TAG, rel_tol)
+def _right_slope_cached(f2: ReactionSpec, sigma: float, c: float, rel_tol: float) -> float:
+    res, _ = _apex_shot(f2, sigma, c, Z_CAP_TAG, rel_tol)
     if res.tag != CROSSES:
         raise NoSemiWave(
-            "no left edge connection at c = %g, sigma = %g (shot %s)" % (c, sigma, res.tag))
+            "no edge connection of the forward apex shot at c = %g, sigma = %g (shot %s)"
+            % (c, sigma, res.tag))
     return res.dphi_stop
 
 
 def left_slope(f2: ReactionSpec, sigma: float, c: float,
                rel_tol: float = SLOPE_REL_TOL) -> float:
-    """Left edge slope omega_l(c) > 0; raises NoSemiWave if the edge is not reached."""
-    return _left_slope_cached(f2, float(sigma), float(c), float(rel_tol))
+    """Left edge slope omega_l(c) = -omega_r(-c) > 0; raises NoSemiWave if the
+    edge is not reached."""
+    return -right_slope(f2, sigma, -c, rel_tol=rel_tol)
 
 
 def right_slope(f2: ReactionSpec, sigma: float, c: float,
                 rel_tol: float = SLOPE_REL_TOL) -> float:
-    """Right edge slope omega_r(c) < 0, by reflection."""
-    return -left_slope(f2, sigma, -c, rel_tol=rel_tol)
+    """Right edge slope omega_r(c) < 0; raises NoSemiWave if the edge is not reached."""
+    return _right_slope_cached(f2, float(sigma), float(c), float(rel_tol))
 
 
 @functools.lru_cache(maxsize=256)
-def _left_edge_cached(f2: ReactionSpec, sigma: float, tol: float) -> float:
+def _right_edge_cached(f2: ReactionSpec, sigma: float, tol: float) -> float:
     def crosses(c):
-        res, _ = _apex_shoot_backward(f2, sigma, c, Z_CAP_TAG, TAG_REL_TOL)
-        return res.tag == CROSSES
+        return _apex_shot(f2, sigma, c, Z_CAP_TAG, TAG_REL_TOL)[0].tag == CROSSES
 
-    hi = 0.0
-    if not crosses(hi):
-        raise Infeasible("no left edge connection even at c = 0 for sigma = %g" % sigma)
-    lo = critical_speed_increasing(f2) - 1.0
-    for _ in range(5):
-        if not crosses(lo):
-            break
-        lo = hi + 2.0 * (lo - hi)
-    else:
-        raise Infeasible("left edge connection persists down to c = %g" % lo)
-    return bisect_predicate(crosses, lo, hi, tol=tol)
+    return _last_crossing_speed(crosses, critical_speed_decreasing(f2) + 1.0, tol)
 
 
 @dataclass(frozen=True)
@@ -173,14 +124,14 @@ class SpeedWindow:
 def speed_window(f2: ReactionSpec, sigma: float, tol: float = 1e-8) -> SpeedWindow:
     """Bisect the edge-connection window of apex height sigma.
 
-    c*_r = -c*_l exactly by the reflection symmetry of the two halves, so a
+    c*_l = -c*_r exactly by the reflection symmetry of the two halves, so a
     single bisection determines both. Cached on (f2, sigma, tol).
     """
     _check_apex(f2, sigma)
-    c_l = _left_edge_cached(f2, float(sigma), float(tol))
+    c_r = _right_edge_cached(f2, float(sigma), float(tol))
     full = critical_speed_increasing(f2, tol=tol)
     ratio = primitive_at(f2, sigma) / primitive_at(f2, 1.0)
-    return SpeedWindow(c_star_l=c_l, c_star_r=-c_l,
+    return SpeedWindow(c_star_l=-c_r, c_star_r=c_r,
                        L_sigma=full * ratio, R_sigma=-full * ratio)
 
 
@@ -208,12 +159,12 @@ def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
                     rel_tol: float = SLOPE_REL_TOL) -> CompactWave:
     """Assemble the compact profile at speed c from the two apex halves.
 
-    The left half comes from the backward shot, the right half from the
-    reflected backward shot at -c; they join smoothly at the apex. Raises
+    The right half is the forward apex shot at c, the left half the
+    reflected forward shot at -c; they join smoothly at the apex. Raises
     an out-of-window error carrying the window when either edge fails.
     """
-    res_l, traj_l = _apex_shoot_backward(f2, sigma, c, Z_CAP_TAG, rel_tol, dense=True)
-    res_r, traj_r = _apex_shoot_backward(f2, sigma, -c, Z_CAP_TAG, rel_tol, dense=True)
+    res_l, traj_l = _apex_shot(f2, sigma, -c, Z_CAP_TAG, rel_tol, dense=True)
+    res_r, traj_r = _apex_shot(f2, sigma, c, Z_CAP_TAG, rel_tol, dense=True)
     if res_l.tag != CROSSES or res_r.tag != CROSSES:
         win = speed_window(f2, sigma)
         raise Infeasible(
@@ -231,23 +182,23 @@ def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
     phi = np.empty_like(z)
     dphi = np.empty_like(z)
     left = z <= s_l
-    # left half: z in [0, s_l] maps to backward time s = s_l - z
+    # left half: z in [0, s_l] maps to the reflected shot at s = s_l - z
     vals = traj_l.dense(s_l - z[left])
     phi[left] = vals[0]
-    dphi[left] = vals[1]
-    # right half: z in (s_l, width] maps to the reflected shot at s = z - s_l
+    dphi[left] = -vals[1]
+    # right half: z in (s_l, width] maps to the forward shot at s = z - s_l
     vals = traj_r.dense(z[~left] - s_l)
     phi[~left] = vals[0]
-    dphi[~left] = -vals[1]
+    dphi[~left] = vals[1]
     phi[0] = 0.0
     phi[-1] = 0.0
-    dphi[0] = res_l.dphi_stop
-    dphi[-1] = -res_r.dphi_stop
+    dphi[0] = -res_l.dphi_stop
+    dphi[-1] = res_r.dphi_stop
     phi[nl] = sigma
     dphi[nl] = 0.0
     return CompactWave(c=c, sigma=sigma, z=z, phi=phi, dphi=dphi, width=width,
-                       apex=s_l, slope_left=res_l.dphi_stop,
-                       slope_right=-res_r.dphi_stop)
+                       apex=s_l, slope_left=-res_l.dphi_stop,
+                       slope_right=res_r.dphi_stop)
 
 
 def width_energy_quadrature(f2: ReactionSpec, sigma: float) -> float:

@@ -22,6 +22,12 @@ for every admissible speed there is a unique positive coefficient pair.
 The admissible speed interval is governed by how the single-sided roots
 hat_c1 > 0 and hat_c3 < 0 sit relative to the compact speed window
 (c*_l, c*_r), which is the case classification.
+
+Each boundary is written once, as the left boundary of the three-species
+wave: an outer decreasing semi-wave paired with a partner slope (psi' for
+two species, omega_l for three). The right boundary and the alpha side of
+the two-species wave are the same pairing at -c with the outer species
+swapped, so every mirror quantity is obtained by that reflection.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .compact_wave import (CompactWave, compact_profile, left_slope,
-                           right_slope, speed_window)
+from .compact_wave import CompactWave, compact_profile, left_slope, speed_window
 from .errors import FreewaveError, Infeasible, NoSemiWave
 from .ode_core import RootBracket, find_root_monotone
 from .phase_plane import (SemiWave, critical_speed_decreasing,
@@ -45,32 +51,121 @@ from .reaction import ReactionSpec, primitive_at
 _SHRINK = 1e-6
 
 
-def _slope_dec_or_zero(f: ReactionSpec, c: float) -> float:
-    """Decreasing-side slope, or its limit 0 when the shot no longer crosses.
+def _or_zero(slope, *args) -> float:
+    """slope(*args), or its limit 0 where the shot no longer connects.
 
-    Used only inside root brackets whose endpoints sit within bisection
-    fuzz of a critical speed, where the true slope underflows; the limit
-    keeps the bracket sign correct.
+    Used only inside root brackets whose endpoints sit within the
+    shot-horizon band just below a critical speed, where the true slope
+    underflows; the limit keeps the bracket sign correct.
     """
     try:
-        return semiwave_slope(f, c)
+        return slope(*args)
     except NoSemiWave:
         return 0.0
 
 
-def _slope_inc_or_zero(g: ReactionSpec, c: float) -> float:
-    return -_slope_dec_or_zero(g, -c)
+@dataclass(frozen=True)
+class _Side:
+    """One free boundary, seen from the frame where its outer species lies left.
+
+    The outer decreasing semi-wave of f with coefficient a meets a partner
+    of slope p(c) > 0, defined for c in interval() = (lo, hi), with
+    first-integral energy E = p(0)^2 / 2; the boundary moves at c when
+    a phi'(0; c) + b p(c) + c = 0. A boundary whose outer species lies right
+    is this pairing at -c: sign = -1 maps speeds back to the caller's
+    frame, and name labels the caller's side in error messages.
+    """
+
+    f: ReactionSpec
+    a: float
+    partner: Callable[[float], float]
+    interval: Callable[[], tuple]
+    energy: float
+    name: str
+    sign: float = 1.0
+
+    def frame(self, lo: float, hi: float) -> tuple:
+        """The speed interval (lo, hi) of this frame, in the caller's frame."""
+        return (lo, hi) if self.sign > 0.0 else (-hi, -lo)
 
 
-def _left_slope_or_zero(f2: ReactionSpec, sigma: float, c: float) -> float:
-    try:
-        return left_slope(f2, sigma, c)
-    except NoSemiWave:
-        return 0.0
+def _two_side(f: ReactionSpec, g: ReactionSpec, a: float, name: str,
+              sign: float = 1.0) -> _Side:
+    """f left of the boundary, the increasing semi-wave of g right of it."""
+    return _Side(f, a, functools.partial(semiwave_slope_increasing, g),
+                 lambda: (critical_speed_increasing(g), math.inf),
+                 primitive_at(g, 1.0), name, sign)
 
 
-def _right_slope_or_zero(f2: ReactionSpec, sigma: float, c: float) -> float:
-    return -_left_slope_or_zero(f2, sigma, -c)
+def _three_side(f: ReactionSpec, f2: ReactionSpec, a: float, sigma: float,
+                name: str, sign: float = 1.0) -> _Side:
+    """f left of the boundary, the compact middle profile of f2 right of it."""
+    def window():
+        win = speed_window(f2, sigma)
+        return win.c_star_l, win.c_star_r
+
+    return _Side(f, a, functools.partial(left_slope, f2, sigma), window,
+                 primitive_at(f2, sigma), name, sign)
+
+
+def _balanced(side: _Side) -> float:
+    """The coefficient giving speed 0, from the first integrals: a sqrt(F(1) / E)."""
+    return side.a * math.sqrt(primitive_at(side.f, 1.0) / side.energy)
+
+
+def _domain(side: _Side) -> tuple:
+    """(lo, hat_c) in the caller's frame: where the coefficient map is positive."""
+    return side.frame(side.interval()[0], hat_c_f(side.f, side.a))
+
+
+def _coefficient(side: _Side, c: float) -> float:
+    """The partner coefficient b making c the boundary speed."""
+    lo, hi = _domain(side)
+    if not lo < c < hi:
+        raise Infeasible("speed %g outside the %s coefficient domain (%g, %g)"
+                         % (c, side.name, lo, hi))
+    x = side.sign * c
+    return -(side.a * semiwave_slope(side.f, x) + x) / side.partner(x)
+
+
+def _threshold(side: _Side) -> float:
+    """The coefficient at the partner's upper speed hi, defined when hat_c > hi;
+    below it the matching function has no root inside the partner's interval."""
+    hat, hi = hat_c_f(side.f, side.a), side.interval()[1]
+    if hat <= hi:
+        raise Infeasible("the %s boundary balances inside the window (hat_c = %g, "
+                         "edge %g); its threshold is undefined"
+                         % (side.name, side.sign * hat, side.sign * hi))
+    return _coefficient(side, side.sign * hi)
+
+
+def _speed(side: _Side, b: float, tol: float) -> float:
+    """Root of a phi'(0; c) + b p(c) + c on (lo, min(hat_c, hi)), in the caller's frame."""
+    if b <= 0.0:
+        raise Infeasible("%s coefficient must be positive, got %g" % (side.name, b))
+    hat = hat_c_f(side.f, side.a)
+    lo, hi = side.interval()
+
+    def objective(x):
+        return (side.a * _or_zero(semiwave_slope, side.f, x)
+                + b * _or_zero(side.partner, x) + x)
+
+    top = min(hat, hi)
+    f_top = objective(top)
+    if hat > hi and f_top < 0.0:
+        raise Infeasible(
+            "%s coefficient %g below its threshold; no admissible speed in the "
+            "window (%g, %g)" % ((side.name, b) + side.frame(lo, hi)))
+    # c = 0 splits the bracket; with balanced coefficients the reflected
+    # slopes cancel exactly there, so symmetric data gives exactly 0
+    f_zero = objective(0.0)
+    if f_zero > 0.0:
+        root = find_root_monotone(objective, RootBracket(lo + _SHRINK, 0.0),
+                                  tol=tol, f_hi=f_zero)
+    else:
+        root = find_root_monotone(objective, RootBracket(0.0, top),
+                                  tol=tol, f_lo=f_zero, f_hi=f_top)
+    return side.sign * root + 0.0   # + 0.0 turns a reflected -0.0 into 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +182,7 @@ def _hat_c_cached(f: ReactionSpec, alpha: float, tol: float) -> float:
     c_star = critical_speed_decreasing(f)
 
     def objective(c):
-        return alpha * _slope_dec_or_zero(f, c) + c
+        return alpha * _or_zero(semiwave_slope, f, c) + c
 
     lo = 0.0
     f_lo = alpha * semiwave_slope(f, 0.0)
@@ -111,22 +206,23 @@ def D_two(c: float, alpha: float, beta: float, f: ReactionSpec,
           g: ReactionSpec) -> float:
     """Matching residual alpha phi'(0;c) + beta psi'(0;c) + c.
 
-    Strictly increasing in c and in beta on the admissible interval.
+    Strictly increasing in c and in beta on the admissible interval
+    (c*_g, c*_f); outside it a semi-wave is missing and Infeasible is raised.
     """
-    c_g, c_f = admissible_interval_two(f, g)
-    if not c_g < c < c_f:
-        raise Infeasible("speed %g outside the admissible interval (%g, %g)" % (c, c_g, c_f))
-    return alpha * semiwave_slope(f, c) + beta * semiwave_slope_increasing(g, c) + c
+    try:
+        return alpha * semiwave_slope(f, c) + beta * semiwave_slope_increasing(g, c) + c
+    except NoSemiWave as exc:
+        raise Infeasible("speed %g outside the admissible interval: %s" % (c, exc)) from exc
 
 
 def tilde_beta(f: ReactionSpec, g: ReactionSpec, alpha: float) -> float:
     """Coefficient threshold at which the matched speed is 0: alpha sqrt(F(1)/G(1))."""
-    return alpha * math.sqrt(primitive_at(f, 1.0) / primitive_at(g, 1.0))
+    return _balanced(_two_side(f, g, alpha, "beta"))
 
 
 def tilde_alpha(f: ReactionSpec, g: ReactionSpec, beta: float) -> float:
     """Dual threshold for the alpha coefficient: beta sqrt(G(1)/F(1))."""
-    return beta * math.sqrt(primitive_at(g, 1.0) / primitive_at(f, 1.0))
+    return _balanced(_two_side(g, f, beta, "alpha", -1.0))
 
 
 def beta_of_c(f: ReactionSpec, g: ReactionSpec, alpha: float, c: float) -> float:
@@ -135,22 +231,12 @@ def beta_of_c(f: ReactionSpec, g: ReactionSpec, alpha: float, c: float) -> float
     Positive and strictly decreasing on (c*_g, hat_c_f), vanishing at
     hat_c_f and blowing up at c*_g.
     """
-    c_g, _ = admissible_interval_two(f, g)
-    c_hat = hat_c_f(f, alpha)
-    if not c_g < c < c_hat:
-        raise Infeasible(
-            "speed %g outside the coefficient-map domain (%g, %g)" % (c, c_g, c_hat))
-    return -(alpha * semiwave_slope(f, c) + c) / semiwave_slope_increasing(g, c)
+    return _coefficient(_two_side(f, g, alpha, "beta"), c)
 
 
 def alpha_of_c(f: ReactionSpec, g: ReactionSpec, beta: float, c: float) -> float:
     """The unique alpha making c the matched speed; increasing on (hat_c_g, c*_f)."""
-    _, c_f = admissible_interval_two(f, g)
-    c_hat_g = -hat_c_f(g, beta)
-    if not c_hat_g < c < c_f:
-        raise Infeasible(
-            "speed %g outside the coefficient-map domain (%g, %g)" % (c, c_hat_g, c_f))
-    return -(beta * semiwave_slope_increasing(g, c) + c) / semiwave_slope(f, c)
+    return _coefficient(_two_side(g, f, beta, "alpha", -1.0), c)
 
 
 @dataclass(frozen=True)
@@ -177,20 +263,7 @@ def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float, beta: floa
     limit-zero slope convention at the bracket ends, where true slopes
     underflow.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise Infeasible("alpha and beta must be positive")
-    c_g, _ = admissible_interval_two(f, g)
-    c_hat = hat_c_f(f, alpha)
-
-    def objective(c):
-        return (alpha * _slope_dec_or_zero(f, c)
-                + beta * _slope_inc_or_zero(g, c) + c)
-
-    lo = c_g + _SHRINK
-    hi = c_hat
-    f_hi = beta * _slope_inc_or_zero(g, hi) + hi + alpha * _slope_dec_or_zero(f, hi)
-    c = find_root_monotone(objective, RootBracket(lo, hi), tol=tol, f_hi=f_hi)
-
+    c = _speed(_two_side(f, g, alpha, "beta"), beta, tol)
     left = semiwave_profile(f, c, far_tol=far_tol, dz=dz)
     right = semiwave_profile_increasing(g, c, far_tol=far_tol, dz=dz)
     residual = alpha * left.interface_slope + beta * right.interface_slope + c
@@ -256,13 +329,13 @@ def case_classify(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
 def tilde_beta_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float,
                  sigma: float) -> float:
     """Left coefficient threshold at zero speed: alpha sqrt(F1(1)/F2(sigma))."""
-    return alpha * math.sqrt(primitive_at(f1, 1.0) / primitive_at(f2, sigma))
+    return _balanced(_three_side(f1, f2, alpha, sigma, "left"))
 
 
 def tilde_beta_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float,
                  sigma: float) -> float:
     """Right coefficient threshold at zero speed: gamma sqrt(F3(1)/F2(sigma))."""
-    return gamma * math.sqrt(primitive_at(f3, 1.0) / primitive_at(f2, sigma))
+    return _balanced(_three_side(f3, f2, gamma, sigma, "right", -1.0))
 
 
 def beta_l_of_c(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
@@ -272,13 +345,7 @@ def beta_l_of_c(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
     Positive and strictly decreasing between the window's left edge and
     hat_c1.
     """
-    win = speed_window(f2, sigma)
-    c1 = hat_c1(f1, alpha)
-    if not win.c_star_l < c < c1:
-        raise Infeasible(
-            "speed %g outside the left coefficient domain (%g, %g)"
-            % (c, win.c_star_l, c1))
-    return -(alpha * semiwave_slope(f1, c) + c) / left_slope(f2, sigma, c)
+    return _coefficient(_three_side(f1, f2, alpha, sigma, "left"), c)
 
 
 def beta_r_of_c(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
@@ -288,13 +355,7 @@ def beta_r_of_c(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
     Positive and strictly increasing between hat_c3 and the window's right
     edge.
     """
-    win = speed_window(f2, sigma)
-    c3 = hat_c3(f3, gamma)
-    if not c3 < c < win.c_star_r:
-        raise Infeasible(
-            "speed %g outside the right coefficient domain (%g, %g)"
-            % (c, c3, win.c_star_r))
-    return -(gamma * semiwave_slope_increasing(f3, c) + c) / right_slope(f2, sigma, c)
+    return _coefficient(_three_side(f3, f2, gamma, sigma, "right", -1.0), c)
 
 
 def beta0_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float) -> float:
@@ -302,26 +363,12 @@ def beta0_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float) -> f
 
     Below it the left matching function has no root inside the window.
     """
-    win = speed_window(f2, sigma)
-    c1 = hat_c1(f1, alpha)
-    if c1 <= win.c_star_r:
-        raise Infeasible(
-            "configuration is in Case1 (hat_c1 = %g <= c*_r = %g); "
-            "the left threshold is undefined" % (c1, win.c_star_r))
-    return -(alpha * semiwave_slope(f1, win.c_star_r) + win.c_star_r) \
-        / left_slope(f2, sigma, win.c_star_r)
+    return _threshold(_three_side(f1, f2, alpha, sigma, "left"))
 
 
 def beta0_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float) -> float:
     """Threshold coefficient beta_r at the window's left edge (CaseII only)."""
-    win = speed_window(f2, sigma)
-    c3 = hat_c3(f3, gamma)
-    if win.c_star_l <= c3:
-        raise Infeasible(
-            "configuration is in CaseI (c*_l = %g <= hat_c3 = %g); "
-            "the right threshold is undefined" % (win.c_star_l, c3))
-    return -(gamma * semiwave_slope_increasing(f3, win.c_star_l) + win.c_star_l) \
-        / right_slope(f2, sigma, win.c_star_l)
+    return _threshold(_three_side(f3, f2, gamma, sigma, "right", -1.0))
 
 
 def C_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
@@ -332,28 +379,7 @@ def C_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
     alpha phi1'(0;c) + beta_l omega_l(c) + c, strictly increasing in c.
     In Case2 the root exists inside the window only for beta_l >= beta0_l.
     """
-    if beta_l <= 0.0:
-        raise Infeasible("beta_l must be positive, got %g" % beta_l)
-    win = speed_window(f2, sigma)
-    c1 = hat_c1(f1, alpha)
-
-    def objective(c):
-        return (alpha * _slope_dec_or_zero(f1, c)
-                + beta_l * _left_slope_or_zero(f2, sigma, c) + c)
-
-    lo = win.c_star_l + _SHRINK
-    if c1 <= win.c_star_r:
-        hi = c1
-        f_hi = beta_l * _left_slope_or_zero(f2, sigma, hi) \
-            + alpha * _slope_dec_or_zero(f1, hi) + hi
-    else:
-        hi = win.c_star_r
-        f_hi = objective(hi)
-        if f_hi < 0.0:
-            raise Infeasible(
-                "beta_l = %g below the Case2 threshold; no admissible speed "
-                "in the window (%g, %g)" % (beta_l, win.c_star_l, win.c_star_r))
-    return find_root_monotone(objective, RootBracket(lo, hi), tol=tol, f_hi=f_hi)
+    return _speed(_three_side(f1, f2, alpha, sigma, "left"), beta_l, tol)
 
 
 def C_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
@@ -363,28 +389,7 @@ def C_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
     Inverse of beta_r_of_c; in CaseII the root exists inside the window
     only for beta_r >= beta0_r.
     """
-    if beta_r <= 0.0:
-        raise Infeasible("beta_r must be positive, got %g" % beta_r)
-    win = speed_window(f2, sigma)
-    c3 = hat_c3(f3, gamma)
-
-    def objective(c):
-        return (gamma * _slope_inc_or_zero(f3, c)
-                + beta_r * _right_slope_or_zero(f2, sigma, c) + c)
-
-    hi = win.c_star_r - _SHRINK
-    if c3 >= win.c_star_l:
-        lo = c3
-        f_lo = beta_r * _right_slope_or_zero(f2, sigma, lo) \
-            + gamma * _slope_inc_or_zero(f3, lo) + lo
-    else:
-        lo = win.c_star_l
-        f_lo = objective(lo)
-        if f_lo > 0.0:
-            raise Infeasible(
-                "beta_r = %g below the CaseII threshold; no admissible speed "
-                "in the window (%g, %g)" % (beta_r, win.c_star_l, win.c_star_r))
-    return find_root_monotone(objective, RootBracket(lo, hi), tol=tol, f_lo=f_lo)
+    return _speed(_three_side(f3, f2, gamma, sigma, "right", -1.0), beta_r, tol)
 
 
 @dataclass(frozen=True)
@@ -477,21 +482,15 @@ def dispersion_curve(kind: str, params: dict, grid) -> DispersionCurve:
     if grid.size < 2 or not np.all(np.diff(grid) > 0.0):
         raise Infeasible("grid must be strictly increasing with at least 2 points")
 
-    if kind == "two_beta":
-        f, g, alpha = params["f"], params["g"], params["alpha"]
-        endpoints = (critical_speed_increasing(g), hat_c_f(f, alpha))
+    if kind in ("two_beta", "two_alpha"):
+        f, g = params["f"], params["g"]
+        side = (_two_side(f, g, params["alpha"], "beta") if kind == "two_beta"
+                else _two_side(g, f, params["beta"], "alpha", -1.0))
+        endpoints = _domain(side)
         _check_grid(grid, endpoints)
-        vals = np.array([beta_of_c(f, g, alpha, c) for c in grid])
-        _check_monotone(vals, decreasing=True, label="beta")
-        return DispersionCurve(kind, endpoints, grid, {"beta": vals})
-
-    if kind == "two_alpha":
-        f, g, beta = params["f"], params["g"], params["beta"]
-        endpoints = (-hat_c_f(g, beta), critical_speed_decreasing(f))
-        _check_grid(grid, endpoints)
-        vals = np.array([alpha_of_c(f, g, beta, c) for c in grid])
-        _check_monotone(vals, decreasing=False, label="alpha")
-        return DispersionCurve(kind, endpoints, grid, {"alpha": vals})
+        vals = np.array([_coefficient(side, c) for c in grid])
+        _check_monotone(vals, decreasing=side.sign > 0.0, label=side.name)
+        return DispersionCurve(kind, endpoints, grid, {side.name: vals})
 
     if kind == "three":
         f1, f2, f3 = params["f1"], params["f2"], params["f3"]

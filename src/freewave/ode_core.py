@@ -78,10 +78,14 @@ def integrate(rhs, t_span, y0, config: IntegratorConfig = IntegratorConfig(),
     for ev in events:
         g = _wrap_event(ev)
         wrapped.append(g)
-    sol = solve_ivp(rhs, tuple(t_span), np.asarray(y0, dtype=float),
+    y0 = np.asarray(y0, dtype=float)
+    first_step = None
+    if np.any(y0 == 0.0):
+        first_step = _first_step(rhs, t_span, y0, config)
+    sol = solve_ivp(rhs, tuple(t_span), y0,
                     method="RK45", rtol=config.rel_tol, atol=config.abs_tol,
                     max_step=config.max_step, events=wrapped or None,
-                    dense_output=dense_output)
+                    dense_output=dense_output, first_step=first_step)
     if sol.status < 0:
         raise StepError("integration failed: %s" % sol.message)
     if sol.t.size > config.max_steps:
@@ -91,6 +95,35 @@ def integrate(rhs, t_span, y0, config: IntegratorConfig = IntegratorConfig(),
     return Trajectory(t=sol.t, y=sol.y, status=sol.status,
                       event_times=ev_times, event_states=ev_states,
                       dense=sol.sol if dense_output else None)
+
+
+def _first_step(rhs, t_span, y0, config: IntegratorConfig) -> float:
+    """Hairer's initial-step estimate for RK45 with a floored error scale.
+
+    scipy scales errors by abs_tol + rel_tol |y|, so an exact zero in y0
+    under a tiny abs_tol overflows its estimate to a zero step, and the
+    solver then spends hundreds of steps growing back from the smallest
+    representable one. Flooring the scale at rel_tol * max|y0| keeps the
+    estimate finite.
+    """
+    t0, span = t_span[0], abs(t_span[1] - t_span[0])
+    direction = 1.0 if t_span[1] >= t0 else -1.0
+    scale = np.maximum(config.abs_tol + np.abs(y0) * config.rel_tol,
+                       config.rel_tol * np.max(np.abs(y0)))
+
+    def norm(v):
+        return float(np.sqrt(np.mean((v / scale) ** 2)))
+
+    f0 = np.asarray(rhs(t0, y0), dtype=float)
+    d0, d1 = norm(y0), norm(f0)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = np.asarray(rhs(t0 + direction * h0, y0 + direction * h0 * f0), dtype=float)
+    d2 = norm(f1 - f0) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)   # RK45's error estimator is order 4
+    return min(100.0 * h0, h1, span, config.max_step)
 
 
 def _wrap_event(ev: EventSpec):
@@ -129,28 +162,6 @@ def find_root_monotone(fn, bracket: RootBracket, tol: float = 1e-10,
         raise BracketError(
             "no sign change on [%g, %g]: f(lo)=%g, f(hi)=%g" % (lo, hi, flo, fhi))
     return brentq(fn, lo, hi, xtol=tol, rtol=8.881784197001252e-16)
-
-
-def bracket_sign_change(fn, lo: float, hi: float, grow: float = 2.0,
-                        max_grow: int = 4, grow_side: str = "hi"):
-    """Return (RootBracket, f_lo, f_hi) with a verified sign change.
-
-    If [lo, hi] does not bracket, the chosen side is pushed out
-    geometrically up to max_grow times before giving up.
-    """
-    flo, fhi = fn(lo), fn(hi)
-    for _ in range(max_grow + 1):
-        if flo == 0.0 or fhi == 0.0 or flo * fhi < 0.0:
-            return RootBracket(lo, hi), flo, fhi
-        width = (hi - lo) * (grow - 1.0)
-        if grow_side == "hi":
-            hi = hi + width
-            fhi = fn(hi)
-        else:
-            lo = lo - width
-            flo = fn(lo)
-    raise BracketError(
-        "no sign change on [%g, %g] after widening: f(lo)=%g, f(hi)=%g" % (lo, hi, flo, fhi))
 
 
 def bisect_predicate(pred, lo: float, hi: float, tol: float = 1e-8,

@@ -115,11 +115,6 @@ class SimReport:
     T: float
     dt: float
 
-    @property
-    def speed_history(self):
-        """(t, s') pairs."""
-        return self.history[:, [0, 2]]
-
 
 def initial_state(wave: TwoSpeciesWave, L: float, N: int) -> FrontFrameState:
     """Sample the wave's profiles onto the frame grid, extended by constants.

@@ -18,7 +18,10 @@ Integration runs in pure-relative mode (abs_tol ~ 1e-300): near-critical
 crossing slopes decay like exp(-c*pi/(2*omega)) and underflow any absolute
 floor long before they stop being meaningful, so the crossing test uses a
 tiny representability floor instead of a fixed threshold. Accuracy of
-critical speeds is then set by the z horizon, about (pi / z_cap)^2.
+bisected critical speeds is then set by the z horizon, about (pi / z_cap)^2.
+Speeds at or above 2 sqrt(max f(u)/u) need no shot (the comparison sector
+-lam phi <= Phi traps the orbit), and KPP-type terms, f(u) <= f'(0) u, get
+c* = 2 sqrt(f'(0)) exactly with no bisection (linear determinacy).
 
 Increasing semi-waves (psi(0) = 0, psi(+inf) = 1, psi' > 0) are exact
 mirror images: psi(z; c) for g equals phi(-z; -c), so all increasing-side
@@ -127,9 +130,10 @@ def _classify(traj, c: float) -> TrajectoryOutcome:
     return TrajectoryOutcome(CONVERGES, c, traj.t[-1], traj.y[0, -1], traj.y[1, -1])
 
 
-def _run_shot(f: ReactionSpec, c: float, z_max: float, rel_tol: float,
+def _run_shot(f: ReactionSpec, c: float, y0, z_max: float, rel_tol: float,
               dense: bool = False, extra_events=()):
-    y0, mu = _launch_state(f, c)
+    """The one shot: phi'' + c phi' + f(phi) = 0 forward in z from y0, the
+    saddle launch or a compact profile's apex (sigma, 0)."""
 
     def rhs(z, y):
         return (y[1], -c * y[1] - evaluate(f, y[0]))
@@ -140,14 +144,28 @@ def _run_shot(f: ReactionSpec, c: float, z_max: float, rel_tol: float,
         traj = integrate(rhs, (0.0, z_max), y0, cfg,
                          events=_shot_events() + tuple(extra_events),
                          dense_output=dense)
-    return traj, mu
+    return traj
+
+
+def _cut_shot(f: ReactionSpec, c: float, cut: float, rel_tol: float,
+              dense: bool = False, terminal: bool = False):
+    """Saddle-launched slope shot that also records, as event 3, where phi
+    falls through the level cut; returns the trajectory and the launch rate."""
+
+    def ev_tail(z, y):
+        return y[0] - cut
+
+    y0, mu = _launch_state(f, c)
+    tail = EventSpec(ev_tail, terminal=terminal, direction=-1.0, name="tail")
+    return _run_shot(f, c, y0, Z_CAP_SLOPE, rel_tol, dense=dense,
+                     extra_events=(tail,)), mu
 
 
 def shoot_decreasing(f: ReactionSpec, c: float, z_max: float = Z_CAP_TAG,
                      rel_tol: float = TAG_REL_TOL) -> TrajectoryOutcome:
     """Launch one decreasing shot at speed c and classify its outcome."""
-    traj, _ = _run_shot(f, c, z_max, rel_tol)
-    return _classify(traj, c)
+    y0, _ = _launch_state(f, c)
+    return _classify(_run_shot(f, c, y0, z_max, rel_tol), c)
 
 
 def shoot_increasing(g: ReactionSpec, c: float, z_max: float = Z_CAP_TAG,
@@ -191,36 +209,72 @@ def _speed_upper_bound(f: ReactionSpec) -> float:
     return 2.0 * math.sqrt(max(base, 1e-12)) + 1.0
 
 
+def _sector_growth(f: ReactionSpec) -> float:
+    """K = max of f(u)/u on [0, 1], from the critical points of the quotient
+    polynomial; inf unless f(0) = 0 exactly.
+
+    For c >= 2 sqrt(K) let lam = (c - sqrt(c^2 - 4K)) / 2. On the line
+    Phi = -lam phi, d(Phi + lam phi)/dz = K phi - f(phi) >= 0, so a shot
+    launched above it stays above it and reaches phi = 0 only with Phi >= 0:
+    no decreasing semi-wave exists there.
+    """
+    if f.coeffs[0] != 0.0:
+        return math.inf
+    g = np.polynomial.Polynomial(f.coeffs[1:])
+    points = [0.0, 1.0] + [r.real for r in g.deriv().roots()
+                           if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
+    return max(float(g(u)) for u in points)
+
+
 @functools.lru_cache(maxsize=256)
 def _critical_speed_cached(f: ReactionSpec, tol: float) -> float:
+    growth = _sector_growth(f)
+    trap = 2.0 * math.sqrt(max(growth, 0.0))
+    if f.kind == "monostable" and growth <= derivative_at(f, 0.0):
+        # KPP type: below 2 sqrt(f'(0)) the origin is a focus and every shot
+        # crosses, and from there on the sector traps, so c* = trap exactly
+        return trap
     # the speed where the tag flips is only as sharp as the shots behind it,
     # so tighter speed requests get proportionally tighter integrations
     shot_rel = min(TAG_REL_TOL, max(10.0 * tol, 1e-13))
 
     def crosses(c):
-        return shoot_decreasing(f, c, rel_tol=shot_rel).tag == CROSSES
+        return c < trap and shoot_decreasing(f, c, rel_tol=shot_rel).tag == CROSSES
+
+    return _last_crossing_speed(crosses, _speed_upper_bound(f), tol)
+
+
+def _last_crossing_speed(crosses, hi: float, tol: float) -> float:
+    """Bisect the speed above 0 where shots stop crossing; hi doubles up to 5 times."""
+    seen = {}
+
+    def tag(c):
+        # bisect_predicate asks again at both ends of the bracket
+        if c not in seen:
+            seen[c] = crosses(c)
+        return seen[c]
 
     lo = 0.0
-    if not crosses(lo):
-        # cannot happen for valid kinds (positive mass forces a crossing at
-        # c = 0), kept as a hard guard
-        raise BracketError("no crossing at c = 0; reaction has no positive mass")
-    hi = _speed_upper_bound(f)
+    if not tag(lo):
+        # cannot happen for valid inputs (positive mass, or positive apex
+        # energy, forces a crossing at c = 0), kept as a hard guard
+        raise BracketError("no crossing at c = 0; no positive mass or apex energy")
     for _ in range(5):
-        if not crosses(hi):
+        if not tag(hi):
             break
         hi = lo + 2.0 * (hi - lo)
     else:
         raise BracketError("crossing persists up to c = %g; no critical speed found" % hi)
-    return bisect_predicate(crosses, lo, hi, tol=tol)
+    return bisect_predicate(tag, lo, hi, tol=tol)
 
 
 def critical_speed_decreasing(f: ReactionSpec, tol: float = 1e-8) -> float:
     """Largest speed c* admitting a decreasing semi-wave (bisection on shot tags).
 
-    Crossing holds for c < c* and fails for c > c*; the returned value is
-    accurate to the shot-horizon fuzz (~5e-5 for monostable terms, much
-    better for bistable ones) or tol, whichever is larger.
+    Crossing holds for c < c* and fails for c > c*. KPP-type terms get
+    2 sqrt(f'(0)) exactly; otherwise the returned value is accurate to the
+    shot-horizon fuzz (~5e-5 for monostable terms, much better for bistable
+    ones) or tol, whichever is larger.
     """
     return _critical_speed_cached(f, float(tol))
 
@@ -263,13 +317,7 @@ def semiwave_profile(f: ReactionSpec, c: float, far_tol: float = 1e-8,
     phi = 1/2 at z = 0. A stalling shot raises NoSemiWave.
     """
     cut = max(far_tol, 1e-6)
-
-    def ev_tail(z, y):
-        return y[0] - cut
-
-    traj, mu = _run_shot(f, c, Z_CAP_SLOPE, rel_tol, dense=True,
-                         extra_events=(EventSpec(ev_tail, terminal=False,
-                                                 direction=-1.0, name="tail"),))
+    traj, mu = _cut_shot(f, c, cut, rel_tol, dense=True)
     out = _classify(traj, c)
     if out.tag == CROSSES:
         return _assemble_semiwave(traj, mu, c, far_tol, dz)
@@ -367,13 +415,7 @@ def _growing_mode_at_cut(f: ReactionSpec, c: float, cut: float):
 
     Returns None if the orbit turns around before reaching the cut level.
     """
-
-    def ev_tail(z, y):
-        return y[0] - cut
-
-    traj, _ = _run_shot(f, c, Z_CAP_SLOPE, SLOPE_REL_TOL,
-                        extra_events=(EventSpec(ev_tail, terminal=True,
-                                                direction=-1.0, name="tail"),))
+    traj, _ = _cut_shot(f, c, cut, SLOPE_REL_TOL, terminal=True)
     hit = traj.first_event(3)
     if hit is None:
         return None
@@ -412,13 +454,7 @@ def front_profile(f: ReactionSpec, far_tol: float = 1e-8, dz: float = 0.01,
     # over; both stay clean only if the speed is polished far beyond tol
     cut = max(far_tol, FRONT_TAIL_CUT)
     c = _polish_front_speed(f, c, cut, tol)
-
-    def ev_tail(z, y):
-        return y[0] - cut
-
-    traj, mu = _run_shot(f, c, Z_CAP_SLOPE, SLOPE_REL_TOL, dense=True,
-                         extra_events=(EventSpec(ev_tail, terminal=False,
-                                                 direction=-1.0, name="tail"),))
+    traj, mu = _cut_shot(f, c, cut, SLOPE_REL_TOL, dense=True)
     return _assemble_front(traj, mu, c, far_tol, dz, cut)
 
 

@@ -113,3 +113,34 @@ def test_semiwave_outputs(tmp_path, capsys):
     assert lines[0].startswith("# config: ")
     assert lines[1] == "z,phi"
     assert os.path.exists(os.path.join(out, "semiwave_profile.svg"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["speed", "--reaction", "cubic:0.25", "--tol", "0"],
+    ["compact", "--f2", "logistic", "--sigma", "0.5", "--tol", "-1"],
+    ["semiwave", "--f", "logistic", "--c", "0", "--far-tol", "0"],
+    ["semiwave", "--f", "logistic", "--c", "0", "--far-tol", "-1"],
+    ["verify", "--f", "logistic", "--g", "logistic", "--alpha", "1", "--beta", "1",
+     "--L", "0"],
+    ["verify", "--f", "logistic", "--g", "logistic", "--alpha", "1", "--beta", "1",
+     "--N", "0"],
+    ["verify", "--f", "logistic", "--g", "logistic", "--alpha", "1", "--beta", "1",
+     "--N", "-5"],
+    ["verify", "--f", "logistic", "--g", "logistic", "--alpha", "1", "--beta", "1",
+     "--T", "0"],
+])
+def test_non_positive_values_exit_3(argv, capsys):
+    assert cli.main(argv) == 3
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_non_positive_tol_env_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("FREEWAVE_TOL", "0")
+    assert cli.main(["speed", "--reaction", "cubic:0.25"]) == 3
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_tol_only_where_read(capsys):
+    assert cli.main(["two", "--f", "logistic", "--g", "logistic", "--alpha", "1",
+                     "--beta", "1", "--tol", "1e-6"]) == 2
+    assert "--tol" in capsys.readouterr().err

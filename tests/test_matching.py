@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_monostable
-from freewave import matching, phase_plane, reaction
+from freewave import compact_wave, matching, phase_plane, reaction
 from freewave.errors import Infeasible
 from freewave.reaction import primitive_at
 
@@ -180,6 +180,20 @@ def test_beta_l_domain(cubic25, logistic):
     hat1 = matching.hat_c1(cubic25, 1.0)
     with pytest.raises(Infeasible):
         matching.beta_l_of_c(cubic25, logistic, 1.0, 0.5, hat1 + 0.05)
+
+
+def test_reflected_maps_name_their_own_domain(cubic25, logistic):
+    # beta_r and alpha are the left pairing at -c; errors stay in the caller's frame
+    c3 = matching.hat_c3(cubic25, 1.0)
+    c_r = compact_wave.speed_window(logistic, 0.5).c_star_r
+    with pytest.raises(Infeasible, match="right") as exc:
+        matching.beta_r_of_c(logistic, cubic25, 1.0, 0.5, c3 - 0.05)
+    assert "(%g, %g)" % (c3, c_r) in str(exc.value)
+    hat_g = -matching.hat_c_f(logistic, 1.0)
+    c_f = phase_plane.critical_speed_decreasing(logistic)
+    with pytest.raises(Infeasible, match="alpha") as exc:
+        matching.alpha_of_c(logistic, logistic, 1.0, hat_g - 0.05)
+    assert "(%g, %g)" % (hat_g, c_f) in str(exc.value)
 
 
 def test_beta0_requires_matching_case(strong, logistic):

@@ -68,24 +68,6 @@ def test_find_root_monotone_no_sign_change():
         ode_core.find_root_monotone(lambda x: x + 10.0, ode_core.RootBracket(0.0, 1.0))
 
 
-def test_bracket_sign_change_grows_hi():
-    bracket, flo, fhi = ode_core.bracket_sign_change(lambda x: x - 10.0, 0.0, 1.0)
-    assert bracket.lo <= 10.0 <= bracket.hi
-    assert flo < 0.0 < fhi
-
-
-def test_bracket_sign_change_grows_lo():
-    bracket, flo, fhi = ode_core.bracket_sign_change(lambda x: x + 10.0, -1.0, 0.0,
-                                                     grow_side="lo")
-    assert bracket.lo <= -10.0 <= bracket.hi
-    assert flo < 0.0 < fhi
-
-
-def test_bracket_sign_change_gives_up():
-    with pytest.raises(BracketError):
-        ode_core.bracket_sign_change(lambda x: x - 1e9, 0.0, 1.0)
-
-
 def test_bisect_predicate_locates_threshold():
     edge = ode_core.bisect_predicate(lambda x: x < 1.3, 0.0, 2.0, tol=1e-10)
     assert edge == pytest.approx(1.3, abs=1e-9)

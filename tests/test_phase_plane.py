@@ -89,6 +89,22 @@ def test_critical_speed_examples(logistic):
     assert c4 == pytest.approx((1 - 0.8) / math.sqrt(2), abs=1e-5)
 
 
+def test_kpp_speed_is_exact(logistic):
+    # f(u) <= f'(0) u on [0, 1]: c* = 2 sqrt(f'(0)) with no bisection fuzz
+    kpp = reaction.polynomial((0.0, 2.0, -1.0, -1.0))
+    assert phase_plane.critical_speed_decreasing(logistic) == 2.0
+    assert phase_plane.critical_speed_decreasing(kpp) == 2.0 * math.sqrt(2.0)
+
+
+def test_no_crossing_at_sector_speed(cubic25):
+    # K = max f(u)/u: u (1-u)(1+3u) peaks at K = 4/3, the cubic at ((1-theta)/2)^2
+    pushed = reaction.polynomial((0.0, 1.0, 2.0, -3.0))
+    for f, growth in ((pushed, 4.0 / 3.0), (cubic25, 0.375 ** 2)):
+        assert phase_plane._sector_growth(f) == pytest.approx(growth, rel=1e-12)
+        trap = 2.0 * math.sqrt(growth)
+        assert phase_plane.shoot_decreasing(f, trap).tag != "crosses_zero"
+
+
 def test_critical_speed_increasing_is_mirror(logistic, cubic25):
     for f in (logistic, cubic25):
         assert phase_plane.critical_speed_increasing(f) == \
