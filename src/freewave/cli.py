@@ -428,6 +428,8 @@ def _cmd_verify(args) -> int:
     f, g, alpha, beta = _two_from_args(args, cfg)
     L = _positive(args, cfg, "L", 40.0)
     N = _positive(args, cfg, "N", 2000, cast=int)
+    if N < pde_verify.MIN_N:
+        raise SchemaError("--N must be at least %d, got %d" % (pde_verify.MIN_N, N))
     T = _positive(args, cfg, "T", 20.0)
     wave = matching.solve_two_species(f, g, alpha, beta)
     report = pde_verify.run(wave, L=L, N=N, T=T)

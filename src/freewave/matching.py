@@ -68,9 +68,10 @@ def _or_zero(slope, *args) -> float:
 class _Side:
     """One free boundary, seen from the frame where its outer species lies left.
 
-    The outer decreasing semi-wave of f with coefficient a meets a partner
-    of slope p(c) > 0, defined for c in interval() = (lo, hi), with
-    first-integral energy E = p(0)^2 / 2; the boundary moves at c when
+    The outer decreasing semi-wave of f with positive coefficient a (named
+    outer in the caller's terms) meets a partner of slope p(c) > 0, defined
+    for c in interval() = (lo, hi), with first-integral energy
+    E = p(0)^2 / 2; the boundary moves at c when
     a phi'(0; c) + b p(c) + c = 0. A boundary whose outer species lies right
     is this pairing at -c: sign = -1 maps speeds back to the caller's
     frame, and name labels the caller's side in error messages.
@@ -78,33 +79,38 @@ class _Side:
 
     f: ReactionSpec
     a: float
+    outer: str
     partner: Callable[[float], float]
     interval: Callable[[], tuple]
     energy: float
     name: str
     sign: float = 1.0
 
+    def __post_init__(self):
+        if not self.a > 0.0:
+            raise Infeasible("%s must be positive, got %g" % (self.outer, self.a))
+
     def frame(self, lo: float, hi: float) -> tuple:
         """The speed interval (lo, hi) of this frame, in the caller's frame."""
         return (lo, hi) if self.sign > 0.0 else (-hi, -lo)
 
 
-def _two_side(f: ReactionSpec, g: ReactionSpec, a: float, name: str,
+def _two_side(f: ReactionSpec, g: ReactionSpec, a: float, outer: str, name: str,
               sign: float = 1.0) -> _Side:
     """f left of the boundary, the increasing semi-wave of g right of it."""
-    return _Side(f, a, functools.partial(semiwave_slope_increasing, g),
+    return _Side(f, a, outer, functools.partial(semiwave_slope_increasing, g),
                  lambda: (critical_speed_increasing(g), math.inf),
                  primitive_at(g, 1.0), name, sign)
 
 
 def _three_side(f: ReactionSpec, f2: ReactionSpec, a: float, sigma: float,
-                name: str, sign: float = 1.0) -> _Side:
+                outer: str, name: str, sign: float = 1.0) -> _Side:
     """f left of the boundary, the compact middle profile of f2 right of it."""
     def window():
         win = speed_window(f2, sigma)
         return win.c_star_l, win.c_star_r
 
-    return _Side(f, a, functools.partial(left_slope, f2, sigma), window,
+    return _Side(f, a, outer, functools.partial(left_slope, f2, sigma), window,
                  primitive_at(f2, sigma), name, sign)
 
 
@@ -114,8 +120,15 @@ def _balanced(side: _Side) -> float:
 
 
 def _domain(side: _Side) -> tuple:
-    """(lo, hat_c) in the caller's frame: where the coefficient map is positive."""
-    return side.frame(side.interval()[0], hat_c_f(side.f, side.a))
+    """(lo, min(hat_c, hi)) in the caller's frame: where the partner exists
+    and the coefficient map is positive."""
+    lo, hi = side.interval()
+    return side.frame(lo, min(hat_c_f(side.f, side.a), hi))
+
+
+def _pairing(side: _Side, x: float) -> float:
+    """The partner coefficient b making x, in this side's frame, the boundary speed."""
+    return -(side.a * semiwave_slope(side.f, x) + x) / side.partner(x)
 
 
 def _coefficient(side: _Side, c: float) -> float:
@@ -124,8 +137,7 @@ def _coefficient(side: _Side, c: float) -> float:
     if not lo < c < hi:
         raise Infeasible("speed %g outside the %s coefficient domain (%g, %g)"
                          % (c, side.name, lo, hi))
-    x = side.sign * c
-    return -(side.a * semiwave_slope(side.f, x) + x) / side.partner(x)
+    return _pairing(side, side.sign * c)
 
 
 def _threshold(side: _Side) -> float:
@@ -136,7 +148,7 @@ def _threshold(side: _Side) -> float:
         raise Infeasible("the %s boundary balances inside the window (hat_c = %g, "
                          "edge %g); its threshold is undefined"
                          % (side.name, side.sign * hat, side.sign * hi))
-    return _coefficient(side, side.sign * hi)
+    return _pairing(side, hi)
 
 
 def _speed(side: _Side, b: float, tol: float) -> float:
@@ -217,12 +229,12 @@ def D_two(c: float, alpha: float, beta: float, f: ReactionSpec,
 
 def tilde_beta(f: ReactionSpec, g: ReactionSpec, alpha: float) -> float:
     """Coefficient threshold at which the matched speed is 0: alpha sqrt(F(1)/G(1))."""
-    return _balanced(_two_side(f, g, alpha, "beta"))
+    return _balanced(_two_side(f, g, alpha, "alpha", "beta"))
 
 
 def tilde_alpha(f: ReactionSpec, g: ReactionSpec, beta: float) -> float:
     """Dual threshold for the alpha coefficient: beta sqrt(G(1)/F(1))."""
-    return _balanced(_two_side(g, f, beta, "alpha", -1.0))
+    return _balanced(_two_side(g, f, beta, "beta", "alpha", -1.0))
 
 
 def beta_of_c(f: ReactionSpec, g: ReactionSpec, alpha: float, c: float) -> float:
@@ -231,12 +243,12 @@ def beta_of_c(f: ReactionSpec, g: ReactionSpec, alpha: float, c: float) -> float
     Positive and strictly decreasing on (c*_g, hat_c_f), vanishing at
     hat_c_f and blowing up at c*_g.
     """
-    return _coefficient(_two_side(f, g, alpha, "beta"), c)
+    return _coefficient(_two_side(f, g, alpha, "alpha", "beta"), c)
 
 
 def alpha_of_c(f: ReactionSpec, g: ReactionSpec, beta: float, c: float) -> float:
     """The unique alpha making c the matched speed; increasing on (hat_c_g, c*_f)."""
-    return _coefficient(_two_side(g, f, beta, "alpha", -1.0), c)
+    return _coefficient(_two_side(g, f, beta, "beta", "alpha", -1.0), c)
 
 
 @dataclass(frozen=True)
@@ -263,7 +275,7 @@ def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float, beta: floa
     limit-zero slope convention at the bracket ends, where true slopes
     underflow.
     """
-    c = _speed(_two_side(f, g, alpha, "beta"), beta, tol)
+    c = _speed(_two_side(f, g, alpha, "alpha", "beta"), beta, tol)
     left = semiwave_profile(f, c, far_tol=far_tol, dz=dz)
     right = semiwave_profile_increasing(g, c, far_tol=far_tol, dz=dz)
     residual = alpha * left.interface_slope + beta * right.interface_slope + c
@@ -283,6 +295,8 @@ def hat_c1(f1: ReactionSpec, alpha: float) -> float:
 
 def hat_c3(f3: ReactionSpec, gamma: float) -> float:
     """Root of gamma psi3'(0;c) + c; negative, above -c*(f3), by reflection."""
+    if gamma <= 0.0:
+        raise Infeasible("gamma must be positive, got %g" % gamma)
     return -hat_c_f(f3, gamma)
 
 
@@ -329,13 +343,13 @@ def case_classify(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
 def tilde_beta_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float,
                  sigma: float) -> float:
     """Left coefficient threshold at zero speed: alpha sqrt(F1(1)/F2(sigma))."""
-    return _balanced(_three_side(f1, f2, alpha, sigma, "left"))
+    return _balanced(_three_side(f1, f2, alpha, sigma, "alpha", "left"))
 
 
 def tilde_beta_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float,
                  sigma: float) -> float:
     """Right coefficient threshold at zero speed: gamma sqrt(F3(1)/F2(sigma))."""
-    return _balanced(_three_side(f3, f2, gamma, sigma, "right", -1.0))
+    return _balanced(_three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0))
 
 
 def beta_l_of_c(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
@@ -345,7 +359,7 @@ def beta_l_of_c(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
     Positive and strictly decreasing between the window's left edge and
     hat_c1.
     """
-    return _coefficient(_three_side(f1, f2, alpha, sigma, "left"), c)
+    return _coefficient(_three_side(f1, f2, alpha, sigma, "alpha", "left"), c)
 
 
 def beta_r_of_c(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
@@ -355,7 +369,7 @@ def beta_r_of_c(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
     Positive and strictly increasing between hat_c3 and the window's right
     edge.
     """
-    return _coefficient(_three_side(f3, f2, gamma, sigma, "right", -1.0), c)
+    return _coefficient(_three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0), c)
 
 
 def beta0_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float) -> float:
@@ -363,12 +377,12 @@ def beta0_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float) -> f
 
     Below it the left matching function has no root inside the window.
     """
-    return _threshold(_three_side(f1, f2, alpha, sigma, "left"))
+    return _threshold(_three_side(f1, f2, alpha, sigma, "alpha", "left"))
 
 
 def beta0_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float) -> float:
     """Threshold coefficient beta_r at the window's left edge (CaseII only)."""
-    return _threshold(_three_side(f3, f2, gamma, sigma, "right", -1.0))
+    return _threshold(_three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0))
 
 
 def C_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
@@ -379,7 +393,7 @@ def C_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
     alpha phi1'(0;c) + beta_l omega_l(c) + c, strictly increasing in c.
     In Case2 the root exists inside the window only for beta_l >= beta0_l.
     """
-    return _speed(_three_side(f1, f2, alpha, sigma, "left"), beta_l, tol)
+    return _speed(_three_side(f1, f2, alpha, sigma, "alpha", "left"), beta_l, tol)
 
 
 def C_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
@@ -389,7 +403,8 @@ def C_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
     Inverse of beta_r_of_c; in CaseII the root exists inside the window
     only for beta_r >= beta0_r.
     """
-    return _speed(_three_side(f3, f2, gamma, sigma, "right", -1.0), beta_r, tol)
+    side = _three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0)
+    return _speed(side, beta_r, tol)
 
 
 @dataclass(frozen=True)
@@ -484,8 +499,9 @@ def dispersion_curve(kind: str, params: dict, grid) -> DispersionCurve:
 
     if kind in ("two_beta", "two_alpha"):
         f, g = params["f"], params["g"]
-        side = (_two_side(f, g, params["alpha"], "beta") if kind == "two_beta"
-                else _two_side(g, f, params["beta"], "alpha", -1.0))
+        side = (_two_side(f, g, params["alpha"], "alpha", "beta")
+                if kind == "two_beta"
+                else _two_side(g, f, params["beta"], "beta", "alpha", -1.0))
         endpoints = _domain(side)
         _check_grid(grid, endpoints)
         vals = np.array([_coefficient(side, c) for c in grid])

@@ -13,10 +13,19 @@ An assembled traveling wave is an exact steady state of this frame up to
 discretization error, so a healthy wave shows s'(t) ~ c and a frame
 profile that barely drifts.
 
-Scheme: explicit Euler, central second differences for diffusion,
-first-order upwinding for the advection term (direction chosen by the sign
-of s'), second-order three-point one-sided stencils for the interface
-derivatives, Dirichlet far values pinned at 1.
+Scheme: first-order IMEX Euler (Ascher, Ruuth & Wetton 1995). Diffusion
+is backward Euler on central second differences: both species share dx and
+dt, so one tridiagonal matrix I - r tridiag(1, -2, 1), r = dt/dx^2, on the
+N - 1 interior nodes serves both; it is factored once per run and both
+species are solved in one call, with the Dirichlet values (far values
+pinned at 1, interface values at 0) moved to the right-hand side.
+Advection by s' (first-order upwinding, direction chosen by the sign of
+s'), the reaction and the interface speed (second-order three-point
+one-sided stencils) are explicit. Backward Euler is L-stable, so dt is
+bounded by accuracy and the advection CFL |s'| dt/dx <= 1, not by dx^2;
+a step that would break the CFL bound raises StepError. A discrete
+steady state (zero spatial residual) is a fixed point of the step for any
+dt, so a rigidly traveling wave stays one.
 """
 
 from __future__ import annotations
@@ -25,13 +34,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import StepError
 from .matching import TwoSpeciesWave
 from .reaction import ReactionSpec, evaluate
 
-_CFL_FACTOR = 0.45
 _FAR_FIELD_TOL = 1e-6
+# fewest grid cells a side: the interface stencil needs three points, and
+# scipy's dgttrf/dgttrs wrappers reject systems of fewer than three unknowns
+MIN_N = 4
 
 
 @dataclass(frozen=True)
@@ -59,39 +71,53 @@ def _interface_speed(u, v, dx, alpha, beta) -> float:
     return -alpha * ux - beta * vx
 
 
-def _advance(u, v, dx, dt, f, g, alpha, beta) -> float:
-    """One in-place explicit Euler step; returns the s' used."""
-    sp = _interface_speed(u, v, dx, alpha, beta)
+def _factor(dx: float, dt: float, n: int) -> tuple:
+    """LU factors (dgttrf) of I - r tridiag(1, -2, 1) on n interior nodes."""
     r = dt / (dx * dx)
+    off = np.full(n - 1, -r)
+    return dgttrf(off, np.full(n, 1.0 + 2.0 * r), off.copy())[:5]
+
+
+def _advance(u, v, dx, dt, lu, f, g, alpha, beta) -> float:
+    """One in-place IMEX Euler step with diffusion factors lu; returns the s' used.
+
+    Raises StepError, leaving u and v untouched, if the step would break
+    the advection CFL bound |s'| dt/dx <= 1.
+    """
+    sp = _interface_speed(u, v, dx, alpha, beta)
     a = sp * dt / dx
+    if not abs(a) <= 1.0:
+        raise StepError("s' = %g with dt = %g breaks the advection CFL bound "
+                        "|s'| dt/dx <= 1 (dx = %g)" % (sp, dt, dx))
+    r = dt / (dx * dx)
     if sp >= 0.0:
         adv_u = u[2:] - u[1:-1]
         adv_v = v[2:] - v[1:-1]
     else:
         adv_u = u[1:-1] - u[:-2]
         adv_v = v[1:-1] - v[:-2]
-    lap_u = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    lap_v = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    u[1:-1] += r * lap_u + a * adv_u + dt * evaluate(f, u[1:-1])
-    v[1:-1] += r * lap_v + a * adv_v + dt * evaluate(g, v[1:-1])
+    rhs = np.empty((u.size - 2, 2), order="F")
+    rhs[:, 0] = u[1:-1] + a * adv_u + dt * evaluate(f, u[1:-1])
+    rhs[:, 1] = v[1:-1] + a * adv_v + dt * evaluate(g, v[1:-1])
+    rhs[0] += r * np.array((u[0], v[0]))
+    rhs[-1] += r * np.array((u[-1], v[-1]))
+    x = dgttrs(*lu, rhs, overwrite_b=1)[0]
+    u[1:-1] = x[:, 0]
+    v[1:-1] = x[:, 1]
     return sp
 
 
 def step(state: FrontFrameState, dt: float, f: ReactionSpec, g: ReactionSpec,
          alpha: float, beta: float) -> FrontFrameState:
-    """Advance the frame state by one explicit Euler step of size dt.
+    """Advance the frame state by one IMEX Euler step of size dt.
 
-    Raises StepError before touching the state if dt violates the
-    diffusion stability bound dx^2 / 2.
+    Raises StepError, leaving the state untouched, if dt violates the
+    advection CFL bound dx / |s'| at the state's interface speed.
     """
     dx = state.dx
-    if dt > 0.5 * dx * dx:
-        raise StepError(
-            "dt = %g violates the diffusion stability bound dx^2/2 = %g"
-            % (dt, 0.5 * dx * dx))
     u = state.u.copy()
     v = state.v.copy()
-    sp = _advance(u, v, dx, dt, f, g, alpha, beta)
+    sp = _advance(u, v, dx, dt, _factor(dx, dt, u.size - 2), f, g, alpha, beta)
     return FrontFrameState(u=u, v=v, s=state.s + dt * sp, speed=sp,
                            t=state.t + dt, dx=dx)
 
@@ -119,9 +145,12 @@ class SimReport:
 def initial_state(wave: TwoSpeciesWave, L: float, N: int) -> FrontFrameState:
     """Sample the wave's profiles onto the frame grid, extended by constants.
 
-    Raises StepError if the wave's far-field residual at +-L exceeds the
-    far-field tolerance 1e-6 (the run precondition).
+    Raises StepError if N < MIN_N, or if the wave's far-field residual at
+    +-L exceeds the far-field tolerance 1e-6 (the run preconditions).
     """
+    if N < MIN_N:
+        raise StepError("N = %d grid cells a side; at least %d are needed"
+                        % (N, MIN_N))
     dx = L / N
     xi_l = np.linspace(-L, 0.0, N + 1)
     xi_r = np.linspace(0.0, L, N + 1)
@@ -141,11 +170,16 @@ def initial_state(wave: TwoSpeciesWave, L: float, N: int) -> FrontFrameState:
 
 def run(wave: TwoSpeciesWave, L: float, N: int, T: float,
         max_records: int = 4000) -> SimReport:
-    """Run the front-frame simulation from the assembled wave to time T."""
+    """Run the front-frame simulation from the assembled wave to time T.
+
+    dt is about dx / max(1, 2|c|), so that |c| dt/dx is at most 1/2 at the
+    wave's speed c; T is split into equal steps.
+    """
     state0 = initial_state(wave, L, N)
     dx = state0.dx
-    nsteps = max(int(math.ceil(T / (_CFL_FACTOR * dx * dx))), 2)
+    nsteps = max(int(math.ceil(T * max(1.0, 2.0 * abs(wave.c)) / dx)), 2)
     dt = T / nsteps
+    lu = _factor(dx, dt, N - 1)
     u = state0.u.copy()
     v = state0.v.copy()
     f, g, alpha, beta = wave.f, wave.g, wave.alpha, wave.beta
@@ -161,7 +195,7 @@ def run(wave: TwoSpeciesWave, L: float, N: int, T: float,
         if k == half_step:
             s_half = s
             t_half = k * dt
-        sp = _advance(u, v, dx, dt, f, g, alpha, beta)
+        sp = _advance(u, v, dx, dt, lu, f, g, alpha, beta)
         s += dt * sp
         if (k + 1) % stride == 0 or k + 1 == nsteps:
             rows.append((dt * (k + 1), s, sp))

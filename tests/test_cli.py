@@ -134,6 +134,14 @@ def test_non_positive_values_exit_3(argv, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_verify_too_few_cells_exits_3(n, capsys):
+    # the interface stencil and the tridiagonal solver need N >= 4
+    assert cli.main(["verify", "--f", "logistic", "--g", "logistic", "--alpha", "1",
+                     "--beta", "1", "--N", n]) == 3
+    assert "--N must be at least 4" in capsys.readouterr().err
+
+
 def test_non_positive_tol_env_exits_3(monkeypatch, capsys):
     monkeypatch.setenv("FREEWAVE_TOL", "0")
     assert cli.main(["speed", "--reaction", "cubic:0.25"]) == 3

@@ -227,6 +227,27 @@ def test_speed_from_coefficient_case2_threshold(strong, logistic):
         2.0 * b0, abs=1e-8)
 
 
+def test_case2_maps_stop_at_window_edge(strong, logistic):
+    # hat_c1 lies beyond c*_r here, but no compact middle profile exists past it
+    c_r = compact_wave.speed_window(logistic, 0.5).c_star_r
+    assert matching.hat_c1(strong, 10.0) > 2.0129 > c_r
+    with pytest.raises(Infeasible, match="left"):
+        matching.beta_l_of_c(strong, logistic, 10.0, 0.5, 2.0129)
+    with pytest.raises(Infeasible, match="right"):
+        matching.beta_r_of_c(logistic, strong, 10.0, 0.5, -2.0129)
+
+
+def test_positivity_errors_name_the_coefficient(cubic25, logistic):
+    with pytest.raises(Infeasible, match="gamma must be positive"):
+        matching.C_r(logistic, cubic25, -1.0, 0.5, 1.0)
+    with pytest.raises(Infeasible, match="gamma must be positive"):
+        matching.hat_c3(cubic25, -1.0)
+    with pytest.raises(Infeasible, match="beta must be positive"):
+        matching.alpha_of_c(logistic, logistic, -1.0, 0.1)
+    with pytest.raises(Infeasible, match="beta must be positive"):
+        matching.tilde_alpha(logistic, logistic, -1.0)
+
+
 def test_solve_three_species_symmetric(cubic25, logistic):
     wave = matching.solve_three_species(cubic25, logistic, cubic25, 1.0, 1.0, 0.5, 0.0)
     assert wave.beta_l == pytest.approx(wave.tilde_beta_l, abs=1e-6)

@@ -17,12 +17,15 @@ def moving_wave():
     return matching.solve_two_species(f, f, 1.0, 0.5)
 
 
-def test_step_rejects_large_dt(symmetric_wave):
-    state = pde_verify.initial_state(symmetric_wave, L=20.0, N=200)
-    f = symmetric_wave.f
-    g = symmetric_wave.g
+def test_step_rejects_large_dt(moving_wave):
+    # diffusion is implicit, so only the advection CFL |s'| dt/dx <= 1 binds
+    state = pde_verify.initial_state(moving_wave, L=20.0, N=200)
+    f, g = moving_wave.f, moving_wave.g
+    cfl_dt = state.dx / abs(state.speed)
     with pytest.raises(StepError):
-        pde_verify.step(state, state.dx ** 2, f, g, 1.0, 1.0)
+        pde_verify.step(state, 1.01 * cfl_dt, f, g, 1.0, 0.5)
+    new = pde_verify.step(state, 0.5 * cfl_dt, f, g, 1.0, 0.5)
+    assert new.t == pytest.approx(0.5 * cfl_dt, rel=1e-15)
 
 
 def test_one_step_keeps_profile_nearly_fixed(symmetric_wave):
@@ -38,6 +41,8 @@ def test_one_step_keeps_profile_nearly_fixed(symmetric_wave):
 def test_far_field_precondition(symmetric_wave):
     with pytest.raises(StepError):
         pde_verify.initial_state(symmetric_wave, L=8.0, N=100)
+    with pytest.raises(StepError):
+        pde_verify.initial_state(symmetric_wave, L=20.0, N=pde_verify.MIN_N - 1)
 
 
 def test_run_report_structure(moving_wave):
@@ -45,9 +50,14 @@ def test_run_report_structure(moving_wave):
     assert report.history.shape[1] == 3
     assert np.all(np.diff(report.history[:, 0]) > 0)
     assert report.L == 20.0 and report.N == 200 and report.T == 2.0
-    assert report.dt <= 0.5 * (20.0 / 200) ** 2
+    assert np.max(np.abs(report.history[:, 2])) * report.dt <= 20.0 / 200
     assert isinstance(report.final, pde_verify.FrontFrameState)
     assert report.profile_drift < 0.05
+
+
+def test_run_step_count_is_set_by_advection(moving_wave):
+    report = pde_verify.run(moving_wave, L=40.0, N=2000, T=20.0)
+    assert round(report.T / report.dt) <= 2 * report.N
 
 
 def test_run_is_deterministic(moving_wave):
