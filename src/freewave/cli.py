@@ -92,7 +92,8 @@ def _build_parser() -> _Parser:
     def add_common(sp):
         sp.add_argument("--config", help="JSON file supplying defaults for long options")
         sp.add_argument("--out", help="directory for CSV/JSON outputs")
-        sp.add_argument("--plot", action="store_true", help="also write an SVG plot")
+        sp.add_argument("--plot", action="store_true", default=None,
+                        help="also write an SVG plot")
 
     sp = sub.add_parser("speed", help="critical speeds of one reaction term")
     sp.add_argument("--reaction", help="reaction family string")

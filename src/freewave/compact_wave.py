@@ -31,9 +31,8 @@ from scipy.integrate import quad
 
 from .errors import Infeasible, NoSemiWave
 from .phase_plane import (CROSSES, SLOPE_REL_TOL, TAG_REL_TOL, Z_CAP_TAG,
-                          TrajectoryOutcome, _classify, _last_crossing_speed,
-                          _run_shot, critical_speed_decreasing,
-                          critical_speed_increasing)
+                          _classify, _last_crossing_speed, _run_shot,
+                          critical_speed_decreasing, critical_speed_increasing)
 from .reaction import ReactionSpec, evaluate, primitive_at
 
 
@@ -49,35 +48,17 @@ def _check_apex(f2: ReactionSpec, sigma: float) -> None:
             % (sigma, primitive_at(f2, sigma)))
 
 
-def _apex_shot(f2: ReactionSpec, sigma: float, c: float, z_max: float,
-               rel_tol: float, dense: bool = False):
+def _apex_shot(f2: ReactionSpec, sigma: float, c: float, rel_tol: float,
+               dense: bool = False):
     """Forward shot from the apex (sigma, 0) at speed c: the right half at c."""
     _check_apex(f2, sigma)
-    traj = _run_shot(f2, c, (sigma, 0.0), z_max, rel_tol, dense=dense)
+    traj = _run_shot(f2, c, (sigma, 0.0), Z_CAP_TAG, rel_tol, dense=dense)
     return _classify(traj, c), traj
-
-
-def apex_shoot(f2: ReactionSpec, sigma: float, c: float,
-               direction: str = "backward", z_max: float = Z_CAP_TAG,
-               rel_tol: float = TAG_REL_TOL) -> TrajectoryOutcome:
-    """Shot from the apex state (sigma, 0) in the given z-direction.
-
-    Forward shots trace the right half (crossing slope < 0); backward shots
-    trace the left half (crossing slope > 0) and are computed by the exact
-    (z, p) -> (-z, -p) reflection of a forward shot at -c.
-    """
-    if direction == "forward":
-        res, _ = _apex_shot(f2, sigma, c, z_max, rel_tol)
-        return res
-    if direction == "backward":
-        res, _ = _apex_shot(f2, sigma, -c, z_max, rel_tol)
-        return TrajectoryOutcome(res.tag, c, res.z_stop, res.phi_stop, -res.dphi_stop)
-    raise ValueError("direction must be 'backward' or 'forward', got %r" % (direction,))
 
 
 @functools.lru_cache(maxsize=8192)
 def _right_slope_cached(f2: ReactionSpec, sigma: float, c: float, rel_tol: float) -> float:
-    res, _ = _apex_shot(f2, sigma, c, Z_CAP_TAG, rel_tol)
+    res, _ = _apex_shot(f2, sigma, c, rel_tol)
     if res.tag != CROSSES:
         raise NoSemiWave(
             "no edge connection of the forward apex shot at c = %g, sigma = %g (shot %s)"
@@ -101,7 +82,7 @@ def right_slope(f2: ReactionSpec, sigma: float, c: float,
 @functools.lru_cache(maxsize=256)
 def _right_edge_cached(f2: ReactionSpec, sigma: float, tol: float) -> float:
     def crosses(c):
-        return _apex_shot(f2, sigma, c, Z_CAP_TAG, TAG_REL_TOL)[0].tag == CROSSES
+        return _apex_shot(f2, sigma, c, TAG_REL_TOL)[0].tag == CROSSES
 
     return _last_crossing_speed(crosses, critical_speed_decreasing(f2) + 1.0, tol)
 
@@ -163,8 +144,8 @@ def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
     reflected forward shot at -c; they join smoothly at the apex. Raises
     an out-of-window error carrying the window when either edge fails.
     """
-    res_l, traj_l = _apex_shot(f2, sigma, -c, Z_CAP_TAG, rel_tol, dense=True)
-    res_r, traj_r = _apex_shot(f2, sigma, c, Z_CAP_TAG, rel_tol, dense=True)
+    res_l, traj_l = _apex_shot(f2, sigma, -c, rel_tol, dense=True)
+    res_r, traj_r = _apex_shot(f2, sigma, c, rel_tol, dense=True)
     if res_l.tag != CROSSES or res_r.tag != CROSSES:
         win = speed_window(f2, sigma)
         raise Infeasible(

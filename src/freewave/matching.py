@@ -41,7 +41,7 @@ import numpy as np
 
 from .compact_wave import CompactWave, compact_profile, left_slope, speed_window
 from .errors import FreewaveError, Infeasible, NoSemiWave
-from .ode_core import RootBracket, find_root_monotone
+from .ode_core import find_root_monotone
 from .phase_plane import (SemiWave, critical_speed_decreasing,
                           critical_speed_increasing, semiwave_profile,
                           semiwave_profile_increasing, semiwave_slope,
@@ -152,41 +152,41 @@ def _threshold(side: _Side) -> float:
 
 
 def _speed(side: _Side, b: float, tol: float) -> float:
-    """Root of a phi'(0; c) + b p(c) + c on (lo, min(hat_c, hi)), in the caller's frame."""
+    """Root of a phi'(0; c) + b p(c) + c on (lo, min(c*_f, hi)), in the caller's frame."""
     if b <= 0.0:
         raise Infeasible("%s coefficient must be positive, got %g" % (side.name, b))
-    hat = hat_c_f(side.f, side.a)
-    lo, hi = side.interval()
 
     def objective(x):
         return (side.a * _or_zero(semiwave_slope, side.f, x)
                 + b * _or_zero(side.partner, x) + x)
 
-    top = min(hat, hi)
-    f_top = objective(top)
-    if hat > hi and f_top < 0.0:
-        raise Infeasible(
-            "%s coefficient %g below its threshold; no admissible speed in the "
-            "window (%g, %g)" % ((side.name, b) + side.frame(lo, hi)))
     # c = 0 splits the bracket; with balanced coefficients the reflected
     # slopes cancel exactly there, so symmetric data gives exactly 0
     f_zero = objective(0.0)
+    if f_zero == 0.0:
+        return 0.0
+    lo, hi = side.interval()
     if f_zero > 0.0:
-        root = find_root_monotone(objective, RootBracket(lo + _SHRINK, 0.0),
-                                  tol=tol, f_hi=f_zero)
+        # the partner's slope vanishes at its critical speed lo
+        f_lo = side.a * semiwave_slope(side.f, lo) + lo
+        root = find_root_monotone(objective, lo, 0.0, tol=tol, f_lo=f_lo, f_hi=f_zero)
     else:
-        root = find_root_monotone(objective, RootBracket(0.0, top),
-                                  tol=tol, f_lo=f_zero, f_hi=f_top)
+        c_star = critical_speed_decreasing(side.f)
+        if hi < c_star:
+            top, f_top = hi, objective(hi)
+        else:
+            # the outer slope vanishes at c*_f
+            top, f_top = c_star, b * _or_zero(side.partner, c_star) + c_star
+        if f_top < 0.0:
+            raise Infeasible(
+                "%s coefficient %g below its threshold; no admissible speed in the "
+                "window (%g, %g)" % ((side.name, b) + side.frame(lo, hi)))
+        root = find_root_monotone(objective, 0.0, top, tol=tol, f_lo=f_zero, f_hi=f_top)
     return side.sign * root + 0.0   # + 0.0 turns a reflected -0.0 into 0.0
 
 
 # ---------------------------------------------------------------------------
 # two species
-
-
-def admissible_interval_two(f: ReactionSpec, g: ReactionSpec) -> tuple:
-    """(c*_g, c*_f): speeds where both semi-waves exist."""
-    return critical_speed_increasing(g), critical_speed_decreasing(f)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -199,7 +199,7 @@ def _hat_c_cached(f: ReactionSpec, alpha: float, tol: float) -> float:
     lo = 0.0
     f_lo = alpha * semiwave_slope(f, 0.0)
     hi = c_star - _SHRINK
-    return find_root_monotone(objective, RootBracket(lo, hi), tol=tol, f_lo=f_lo)
+    return find_root_monotone(objective, lo, hi, tol=tol, f_lo=f_lo)
 
 
 def hat_c_f(f: ReactionSpec, alpha: float, tol: float = 1e-10) -> float:
@@ -271,9 +271,9 @@ def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float, beta: floa
                       dz: float = 0.01) -> TwoSpeciesWave:
     """Find the unique speed balancing the free boundary and assemble the wave.
 
-    The root of D lies in (c*_g, hat_c_f]; D is evaluated with the
-    limit-zero slope convention at the bracket ends, where true slopes
-    underflow.
+    The root of D lies in (c*_g, hat_c_f]; it is bracketed by c = 0 and
+    one critical speed, where D takes its limit with the vanishing slope
+    set to 0.
     """
     c = _speed(_two_side(f, g, alpha, "alpha", "beta"), beta, tol)
     left = semiwave_profile(f, c, far_tol=far_tol, dz=dz)

@@ -1,15 +1,15 @@
 """Thin integration and root-finding layer used by every solver in the library.
 
 Wraps scipy's RK45 initial-value solver (with event detection and dense
-output) and Brent root bracketing behind small dataclasses, so the rest of
-the code never touches scipy directly and every numerical knob lives in one
-place.
+output) and Brent root bracketing, so the rest of the code never touches
+scipy directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -17,29 +17,7 @@ from scipy.optimize import brentq
 
 from .errors import BracketError, StepError
 
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and guards for one initial-value integration."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = float("inf")
-    max_steps: int = 1_000_000
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """A scalar event g(t, y); integration can stop where g crosses zero.
-
-    direction > 0 fires only on rising crossings, < 0 only on falling,
-    0 on both.
-    """
-
-    fn: Callable
-    terminal: bool = True
-    direction: float = 0.0
-    name: str = ""
+MAX_STEPS = 1_000_000     # guard against an integration that never settles
 
 
 @dataclass
@@ -48,7 +26,6 @@ class Trajectory:
 
     y has one row per state component and one column per time, so y[k, -1]
     is component k at the stopping point.
-    status: 0 = reached the end of the span, 1 = a terminal event fired.
     event_times[i] / event_states[i] collect every firing of events[i].
     dense(t) evaluates the continuous interpolant when dense output was
     requested.
@@ -56,9 +33,8 @@ class Trajectory:
 
     t: np.ndarray
     y: np.ndarray
-    status: int
-    event_times: list = field(default_factory=list)
-    event_states: list = field(default_factory=list)
+    event_times: list
+    event_states: list
     dense: Optional[Callable] = None
 
     def first_event(self, i: int):
@@ -68,36 +44,37 @@ class Trajectory:
         return None
 
 
-def integrate(rhs, t_span, y0, config: IntegratorConfig = IntegratorConfig(),
-              events: Sequence[EventSpec] = (), dense_output: bool = False) -> Trajectory:
+def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
+              rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+              max_step: float = math.inf) -> Trajectory:
     """Integrate y' = rhs(t, y) over t_span from y0.
 
-    Raises StepError if the solver gives up or exceeds config.max_steps.
+    Each event is a scalar function g(t, y), recorded where it crosses zero
+    and read by scipy's conventions: an attribute terminal = True stops the
+    integration at the first crossing, and direction > 0 (< 0) counts only
+    rising (falling) crossings. Raises StepError if the solver gives up or
+    takes more than MAX_STEPS steps.
     """
-    wrapped = []
-    for ev in events:
-        g = _wrap_event(ev)
-        wrapped.append(g)
     y0 = np.asarray(y0, dtype=float)
     first_step = None
     if np.any(y0 == 0.0):
-        first_step = _first_step(rhs, t_span, y0, config)
+        first_step = _first_step(rhs, t_span, y0, rel_tol, abs_tol, max_step)
     sol = solve_ivp(rhs, tuple(t_span), y0,
-                    method="RK45", rtol=config.rel_tol, atol=config.abs_tol,
-                    max_step=config.max_step, events=wrapped or None,
-                    dense_output=dense_output, first_step=first_step)
+                    method="RK45", rtol=rel_tol, atol=abs_tol, max_step=max_step,
+                    events=list(events) or None, dense_output=dense_output,
+                    first_step=first_step)
     if sol.status < 0:
         raise StepError("integration failed: %s" % sol.message)
-    if sol.t.size > config.max_steps:
-        raise StepError("integration exceeded %d steps" % config.max_steps)
-    ev_times = [np.asarray(te) for te in (sol.t_events or [])]
-    ev_states = [np.asarray(ye) for ye in (sol.y_events or [])]
-    return Trajectory(t=sol.t, y=sol.y, status=sol.status,
-                      event_times=ev_times, event_states=ev_states,
+    if sol.t.size > MAX_STEPS:
+        raise StepError("integration exceeded %d steps" % MAX_STEPS)
+    return Trajectory(t=sol.t, y=sol.y,
+                      event_times=[np.asarray(te) for te in (sol.t_events or [])],
+                      event_states=[np.asarray(ye) for ye in (sol.y_events or [])],
                       dense=sol.sol if dense_output else None)
 
 
-def _first_step(rhs, t_span, y0, config: IntegratorConfig) -> float:
+def _first_step(rhs, t_span, y0, rel_tol: float, abs_tol: float,
+                max_step: float) -> float:
     """Hairer's initial-step estimate for RK45 with a floored error scale.
 
     scipy scales errors by abs_tol + rel_tol |y|, so an exact zero in y0
@@ -108,8 +85,7 @@ def _first_step(rhs, t_span, y0, config: IntegratorConfig) -> float:
     """
     t0, span = t_span[0], abs(t_span[1] - t_span[0])
     direction = 1.0 if t_span[1] >= t0 else -1.0
-    scale = np.maximum(config.abs_tol + np.abs(y0) * config.rel_tol,
-                       config.rel_tol * np.max(np.abs(y0)))
+    scale = np.maximum(abs_tol + np.abs(y0) * rel_tol, rel_tol * np.max(np.abs(y0)))
 
     def norm(v):
         return float(np.sqrt(np.mean((v / scale) ** 2)))
@@ -123,33 +99,18 @@ def _first_step(rhs, t_span, y0, config: IntegratorConfig) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)   # RK45's error estimator is order 4
-    return min(100.0 * h0, h1, span, config.max_step)
+    return min(100.0 * h0, h1, span, max_step)
 
 
-def _wrap_event(ev: EventSpec):
-    def g(t, y):
-        return ev.fn(t, y)
-    g.terminal = ev.terminal
-    g.direction = ev.direction
-    return g
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    """An interval [lo, hi] expected to enclose a sign change."""
-
-    lo: float
-    hi: float
-
-
-def find_root_monotone(fn, bracket: RootBracket, tol: float = 1e-10,
+def find_root_monotone(fn, lo: float, hi: float, tol: float = 1e-10,
                        f_lo: Optional[float] = None, f_hi: Optional[float] = None) -> float:
-    """Brent's method on a bracketed sign change; raises BracketError otherwise.
+    """Brent's method on a sign change of fn over [lo, hi]; raises BracketError
+    when there is none.
 
-    Precomputed endpoint values may be passed to avoid re-evaluating an
-    expensive fn.
+    Endpoint values may be passed to spare evaluations of an expensive fn, or
+    to stand in for its limit at an end where it cannot be evaluated; fn is
+    then never called at that end.
     """
-    lo, hi = bracket.lo, bracket.hi
     if not lo < hi:
         raise BracketError("empty bracket [%g, %g]" % (lo, hi))
     flo = fn(lo) if f_lo is None else f_lo
@@ -161,7 +122,12 @@ def find_root_monotone(fn, bracket: RootBracket, tol: float = 1e-10,
     if flo * fhi > 0.0:
         raise BracketError(
             "no sign change on [%g, %g]: f(lo)=%g, f(hi)=%g" % (lo, hi, flo, fhi))
-    return brentq(fn, lo, hi, xtol=tol, rtol=8.881784197001252e-16)
+
+    def known_ends(x):
+        # brentq evaluates both ends again before its first step
+        return flo if x == lo else fhi if x == hi else fn(x)
+
+    return brentq(known_ends, lo, hi, xtol=tol, rtol=8.881784197001252e-16)
 
 
 def bisect_predicate(pred, lo: float, hi: float, tol: float = 1e-8,

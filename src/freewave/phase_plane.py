@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidReaction, NoSemiWave
-from .ode_core import (EventSpec, IntegratorConfig, RootBracket,
-                       bisect_predicate, find_root_monotone, integrate)
+from .ode_core import bisect_predicate, find_root_monotone, integrate
 from .reaction import ReactionSpec, derivative_at, evaluate
 
 LAUNCH_DELTA = 1e-6       # offset along the unstable manifold of (1, 0)
@@ -76,11 +75,6 @@ class TrajectoryOutcome:
     phi_stop: float
     dphi_stop: float
 
-    @property
-    def slope(self) -> float:
-        """Phi at the phi = 0 crossing; only meaningful when tag == crosses_zero."""
-        return self.dphi_stop
-
 
 def _launch_state(f: ReactionSpec, c: float) -> tuple:
     fp1 = derivative_at(f, 1.0)
@@ -90,24 +84,25 @@ def _launch_state(f: ReactionSpec, c: float) -> tuple:
     return (1.0 - LAUNCH_DELTA, -mu * LAUNCH_DELTA), mu
 
 
-def _shot_events():
-    def ev_cross(z, y):
-        return y[0]
+def _cross(z, y):
+    return y[0]
 
-    def ev_turn(z, y):
-        return y[1]
 
-    def ev_capture(z, y):
-        # fires when the state decays onto an interior equilibrium: |Phi|
-        # below noise while phi is still well inside (0, 1); the max() keeps
-        # it silent near the launch point and near the origin
-        return max(abs(y[1]) - STOP_SPEED_EPS, STOP_PHI_FLOOR - y[0])
+def _turn(z, y):
+    return y[1]
 
-    return (
-        EventSpec(ev_cross, terminal=True, direction=-1.0, name="cross"),
-        EventSpec(ev_turn, terminal=True, direction=1.0, name="turn"),
-        EventSpec(ev_capture, terminal=True, direction=-1.0, name="capture"),
-    )
+
+def _capture(z, y):
+    # fires when the state decays onto an interior equilibrium: |Phi| below
+    # noise while phi is still well inside (0, 1); the max() keeps it silent
+    # near the launch point and near the origin
+    return max(abs(y[1]) - STOP_SPEED_EPS, STOP_PHI_FLOOR - y[0])
+
+
+# the terminal events of every shot, in the order _classify reads them
+_cross.terminal = _turn.terminal = _capture.terminal = True
+_cross.direction, _turn.direction, _capture.direction = -1.0, 1.0, -1.0
+_SHOT_EVENTS = (_cross, _turn, _capture)
 
 
 def _classify(traj, c: float) -> TrajectoryOutcome:
@@ -138,13 +133,11 @@ def _run_shot(f: ReactionSpec, c: float, y0, z_max: float, rel_tol: float,
     def rhs(z, y):
         return (y[1], -c * y[1] - evaluate(f, y[0]))
 
-    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=PURE_REL_ABS_TOL,
-                           max_step=DENSE_MAX_STEP if dense else float("inf"))
     with np.errstate(invalid="ignore", divide="ignore"):
-        traj = integrate(rhs, (0.0, z_max), y0, cfg,
-                         events=_shot_events() + tuple(extra_events),
-                         dense_output=dense)
-    return traj
+        return integrate(rhs, (0.0, z_max), y0, _SHOT_EVENTS + tuple(extra_events),
+                         dense_output=dense, rel_tol=rel_tol,
+                         abs_tol=PURE_REL_ABS_TOL,
+                         max_step=DENSE_MAX_STEP if dense else math.inf)
 
 
 def _cut_shot(f: ReactionSpec, c: float, cut: float, rel_tol: float,
@@ -152,11 +145,11 @@ def _cut_shot(f: ReactionSpec, c: float, cut: float, rel_tol: float,
     """Saddle-launched slope shot that also records, as event 3, where phi
     falls through the level cut; returns the trajectory and the launch rate."""
 
-    def ev_tail(z, y):
+    def tail(z, y):
         return y[0] - cut
 
+    tail.terminal, tail.direction = terminal, -1.0
     y0, mu = _launch_state(f, c)
-    tail = EventSpec(ev_tail, terminal=terminal, direction=-1.0, name="tail")
     return _run_shot(f, c, y0, Z_CAP_SLOPE, rel_tol, dense=dense,
                      extra_events=(tail,)), mu
 
@@ -166,13 +159,6 @@ def shoot_decreasing(f: ReactionSpec, c: float, z_max: float = Z_CAP_TAG,
     """Launch one decreasing shot at speed c and classify its outcome."""
     y0, _ = _launch_state(f, c)
     return _classify(_run_shot(f, c, y0, z_max, rel_tol), c)
-
-
-def shoot_increasing(g: ReactionSpec, c: float, z_max: float = Z_CAP_TAG,
-                     rel_tol: float = TAG_REL_TOL) -> TrajectoryOutcome:
-    """Increasing-side shot via the exact reflection z -> -z, c -> -c."""
-    res = shoot_decreasing(g, -c, z_max=z_max, rel_tol=rel_tol)
-    return TrajectoryOutcome(res.tag, c, res.z_stop, res.phi_stop, -res.dphi_stop)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -375,7 +361,7 @@ def _assemble_front(traj, mu: float, c: float, far_tol: float, dz: float,
     if not (float(traj.dense(0.0)[0]) > 0.5 > phi_end):
         raise NoSemiWave("front construction failed at c = %g" % c)
     s_half = find_root_monotone(lambda s: float(traj.dense(s)[0]) - 0.5,
-                                RootBracket(0.0, z_end), tol=1e-13)
+                                0.0, z_end, tol=1e-13)
 
     # both sides are whole multiples of dz so the grid is uniform across z = 0
     # (the analytic tails just run slightly deeper than far_tol requires)

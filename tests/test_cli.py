@@ -115,6 +115,16 @@ def test_semiwave_outputs(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "semiwave_profile.svg"))
 
 
+def test_plot_from_config(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"plot": True}))
+    out = str(tmp_path / "res")
+    assert cli.main(["semiwave", "--f", "logistic", "--c", "0.3", "--config", str(cfg),
+                     "--out", out]) == 0
+    capsys.readouterr()
+    assert os.path.exists(os.path.join(out, "semiwave_profile.svg"))
+
+
 @pytest.mark.parametrize("argv", [
     ["speed", "--reaction", "cubic:0.25", "--tol", "0"],
     ["compact", "--f2", "logistic", "--sigma", "0.5", "--tol", "-1"],

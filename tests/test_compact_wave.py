@@ -41,13 +41,14 @@ def test_left_slope_increasing_in_c(logistic):
 
 
 def test_apex_shot_direction_reflection(logistic):
+    # the profile at -c is the profile at c mirrored about its apex
     for c in (-0.3, 0.0, 0.4):
-        fwd = compact_wave.apex_shoot(logistic, 0.5, c, direction="forward")
-        bwd = compact_wave.apex_shoot(logistic, 0.5, -c, direction="backward")
-        assert fwd.tag == bwd.tag
-        assert fwd.z_stop == bwd.z_stop
-        assert fwd.phi_stop == bwd.phi_stop
-        assert fwd.dphi_stop == -bwd.dphi_stop
+        a = compact_wave.compact_profile(logistic, 0.5, c)
+        b = compact_wave.compact_profile(logistic, 0.5, -c)
+        assert a.width == b.width
+        assert a.slope_left == -b.slope_right
+        assert a.slope_right == -b.slope_left
+        assert a.apex == pytest.approx(b.width - b.apex, abs=1e-12)
 
 
 def test_speed_window_structure(logistic, cubic25):

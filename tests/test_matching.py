@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_monostable
 from freewave import compact_wave, matching, phase_plane, reaction
@@ -35,7 +36,7 @@ def test_symmetric_matching_vanishes(logistic):
 
 
 def test_matching_function_increasing(logistic):
-    lo, hi = matching.admissible_interval_two(logistic, logistic)
+    lo = phase_plane.critical_speed_increasing(logistic)
     hat = matching.hat_c_f(logistic, 1.0)
     grid = np.linspace(lo + 1e-3, hat - 1e-3, 7)
     vals = [matching.D_two(c, 1.0, 0.7, logistic, logistic) for c in grid]
@@ -50,7 +51,8 @@ def test_matching_function_domain(logistic):
 
 
 def test_admissible_interval_symmetric(logistic):
-    lo, hi = matching.admissible_interval_two(logistic, logistic)
+    lo = phase_plane.critical_speed_increasing(logistic)
+    hi = phase_plane.critical_speed_decreasing(logistic)
     assert lo == -hi
     assert hi == pytest.approx(2.0, abs=1e-3)
 
@@ -130,6 +132,40 @@ def test_sign_law_random_draws(rng):
             assert d0 < 0.0
         elif beta > bt:
             assert d0 > 0.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the speed root must not need this")
+
+
+def test_symmetric_speed_needs_no_critical_speed(monkeypatch, cubic25):
+    for name in ("hat_c_f", "critical_speed_decreasing", "critical_speed_increasing"):
+        monkeypatch.setattr(matching, name, _refuse)
+    assert matching.solve_two_species(cubic25, cubic25, 1.0, 1.0).c == 0.0
+
+
+def test_positive_speed_needs_no_hat_c(monkeypatch):
+    # F(1) = (1 - 2 theta) / 12: the lower threshold on the left wins
+    f, g = reaction.cubic_bistable(0.2), reaction.cubic_bistable(0.3)
+    monkeypatch.setattr(matching, "hat_c_f", _refuse)
+    wave = matching.solve_two_species(f, g, 1.0, 1.0)
+    assert 0.0 < wave.c < phase_plane.critical_speed_decreasing(f)
+    assert abs(matching.D_two(wave.c, 1.0, 1.0, f, g)) <= 1e-9
+
+
+def _scaled_cubic(k, theta):
+    return reaction.polynomial([k * c for c in reaction.cubic_bistable(theta).coeffs])
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.5, 2.0), st.floats(0.1, 0.4), st.floats(0.5, 2.0),
+       st.floats(0.1, 0.4), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+def test_two_species_speed_reflects(kf, theta_f, kg, theta_g, a, b):
+    # swapping the species and their coefficients mirrors the wave: c -> -c
+    f, g = _scaled_cubic(kf, theta_f), _scaled_cubic(kg, theta_g)
+    c = matching.solve_two_species(f, g, a, b).c
+    assert c == pytest.approx(-matching.solve_two_species(g, f, b, a).c, abs=1e-10)
+    assert abs(matching.D_two(c, a, b, f, g)) <= 1e-9
 
 
 def test_two_species_inverse_pair(logistic):

@@ -48,14 +48,13 @@ def test_slope_strictly_increasing_in_c(logistic, cubic25):
 def test_increasing_side_is_exact_reflection(logistic, cubic25):
     for f in (logistic, cubic25):
         for c in (-0.3, 0.0, 0.25):
-            a = phase_plane.shoot_increasing(f, c)
-            b = phase_plane.shoot_decreasing(f, -c)
-            assert a.tag == b.tag
-            assert a.z_stop == b.z_stop
-            assert a.phi_stop == b.phi_stop
-            assert a.dphi_stop == -b.dphi_stop
             assert phase_plane.semiwave_slope_increasing(f, c) == \
                 -phase_plane.semiwave_slope(f, -c)
+            inc = phase_plane.semiwave_profile_increasing(f, c)
+            dec = phase_plane.semiwave_profile(f, -c)
+            assert np.array_equal(inc.z, -dec.z[::-1])
+            assert np.array_equal(inc.phi, dec.phi[::-1])
+            assert np.array_equal(inc.dphi, -dec.dphi[::-1])
 
 
 def test_slope_vanishes_toward_critical(logistic, cubic25):
@@ -79,7 +78,7 @@ def test_shot_outcome_fields(logistic):
     assert out.c == 0.0
     assert out.z_stop > 0.0
     assert abs(out.phi_stop) < 1e-10
-    assert out.slope == out.dphi_stop < 0.0
+    assert out.dphi_stop < 0.0
 
 
 def test_critical_speed_examples(logistic):
