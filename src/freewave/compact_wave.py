@@ -31,8 +31,9 @@ from scipy.integrate import quad
 
 from .errors import Infeasible, NoSemiWave
 from .phase_plane import (CROSSES, SLOPE_REL_TOL, TAG_REL_TOL, Z_CAP_TAG,
-                          _classify, _last_crossing_speed, _run_shot,
-                          critical_speed_decreasing, critical_speed_increasing)
+                          TrajectoryOutcome, _classify, _last_crossing_speed,
+                          _run_shot, critical_speed_decreasing,
+                          critical_speed_increasing)
 from .reaction import ReactionSpec, evaluate, primitive_at
 
 
@@ -57,13 +58,10 @@ def _apex_shot(f2: ReactionSpec, sigma: float, c: float, rel_tol: float,
 
 
 @functools.lru_cache(maxsize=8192)
-def _right_slope_cached(f2: ReactionSpec, sigma: float, c: float, rel_tol: float) -> float:
-    res, _ = _apex_shot(f2, sigma, c, rel_tol)
-    if res.tag != CROSSES:
-        raise NoSemiWave(
-            "no edge connection of the forward apex shot at c = %g, sigma = %g (shot %s)"
-            % (c, sigma, res.tag))
-    return res.dphi_stop
+def _right_slope_cached(f2: ReactionSpec, sigma: float, c: float,
+                        rel_tol: float) -> TrajectoryOutcome:
+    # the outcome, not the slope: a shot that fails to cross is cached too
+    return _apex_shot(f2, sigma, c, rel_tol)[0]
 
 
 def left_slope(f2: ReactionSpec, sigma: float, c: float,
@@ -76,7 +74,12 @@ def left_slope(f2: ReactionSpec, sigma: float, c: float,
 def right_slope(f2: ReactionSpec, sigma: float, c: float,
                 rel_tol: float = SLOPE_REL_TOL) -> float:
     """Right edge slope omega_r(c) < 0; raises NoSemiWave if the edge is not reached."""
-    return _right_slope_cached(f2, float(sigma), float(c), float(rel_tol))
+    res = _right_slope_cached(f2, float(sigma), float(c), float(rel_tol))
+    if res.tag != CROSSES:
+        raise NoSemiWave(
+            "no edge connection of the forward apex shot at c = %g, sigma = %g (shot %s)"
+            % (c, sigma, res.tag))
+    return res.dphi_stop
 
 
 @functools.lru_cache(maxsize=256)

@@ -133,11 +133,9 @@ def _run_shot(f: ReactionSpec, c: float, y0, z_max: float, rel_tol: float,
     def rhs(z, y):
         return (y[1], -c * y[1] - evaluate(f, y[0]))
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return integrate(rhs, (0.0, z_max), y0, _SHOT_EVENTS + tuple(extra_events),
-                         dense_output=dense, rel_tol=rel_tol,
-                         abs_tol=PURE_REL_ABS_TOL,
-                         max_step=DENSE_MAX_STEP if dense else math.inf)
+    return integrate(rhs, (0.0, z_max), y0, _SHOT_EVENTS + tuple(extra_events),
+                     dense_output=dense, rel_tol=rel_tol, abs_tol=PURE_REL_ABS_TOL,
+                     max_step=DENSE_MAX_STEP if dense else math.inf)
 
 
 def _cut_shot(f: ReactionSpec, c: float, cut: float, rel_tol: float,
@@ -162,11 +160,9 @@ def shoot_decreasing(f: ReactionSpec, c: float, z_max: float = Z_CAP_TAG,
 
 
 @functools.lru_cache(maxsize=8192)
-def _slope_cached(f: ReactionSpec, c: float, rel_tol: float) -> float:
-    res = shoot_decreasing(f, c, z_max=Z_CAP_SLOPE, rel_tol=rel_tol)
-    if res.tag != CROSSES:
-        raise NoSemiWave("no decreasing semi-wave at c = %g (shot %s)" % (c, res.tag))
-    return res.dphi_stop
+def _slope_cached(f: ReactionSpec, c: float, rel_tol: float) -> TrajectoryOutcome:
+    # the outcome, not the slope: a shot that fails to cross is cached too
+    return shoot_decreasing(f, c, z_max=Z_CAP_SLOPE, rel_tol=rel_tol)
 
 
 def semiwave_slope(f: ReactionSpec, c: float, rel_tol: float = SLOPE_REL_TOL) -> float:
@@ -175,7 +171,10 @@ def semiwave_slope(f: ReactionSpec, c: float, rel_tol: float = SLOPE_REL_TOL) ->
     Raises NoSemiWave when the shot does not cross (c at or above the
     critical speed, where the connection ceases to exist).
     """
-    return _slope_cached(f, float(c), float(rel_tol))
+    res = _slope_cached(f, float(c), float(rel_tol))
+    if res.tag != CROSSES:
+        raise NoSemiWave("no decreasing semi-wave at c = %g (shot %s)" % (c, res.tag))
+    return res.dphi_stop
 
 
 def semiwave_slope_increasing(g: ReactionSpec, c: float,

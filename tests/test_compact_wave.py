@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_monostable
-from freewave import compact_wave, reaction
-from freewave.errors import Infeasible
+from freewave import compact_wave, phase_plane, reaction
+from freewave.errors import Infeasible, NoSemiWave
 from freewave.reaction import primitive_at
 
 
@@ -122,3 +122,20 @@ def test_infeasible_apex_heights(cubic25):
 def test_speed_outside_window_is_infeasible(logistic):
     with pytest.raises(Infeasible):
         compact_wave.compact_profile(logistic, 0.5, 2.5)
+
+
+def test_failed_edge_shot_is_cached(logistic, monkeypatch):
+    # past the window edge right_slope raises every time, but shoots only once
+    calls = []
+    real = phase_plane.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phase_plane, "integrate", counted)
+    compact_wave._right_slope_cached.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NoSemiWave):
+            compact_wave.right_slope(logistic, 0.5, 2.5)
+    assert len(calls) == 1

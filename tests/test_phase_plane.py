@@ -72,6 +72,23 @@ def test_no_crossing_above_critical(logistic):
         phase_plane.semiwave_slope(logistic, 3.0)
 
 
+def test_failed_slope_shot_is_cached(logistic, monkeypatch):
+    # a speed with no semi-wave raises every time, but shoots only once
+    calls = []
+    real = phase_plane.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phase_plane, "integrate", counted)
+    phase_plane._slope_cached.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NoSemiWave):
+            phase_plane.semiwave_slope(logistic, 2.0)
+    assert len(calls) == 1
+
+
 def test_shot_outcome_fields(logistic):
     out = phase_plane.shoot_decreasing(logistic, 0.0)
     assert out.tag == "crosses_zero"
