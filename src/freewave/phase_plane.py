@@ -17,11 +17,19 @@ delta = 1e-6 and classified by terminal events:
 Integration runs in pure-relative mode (abs_tol ~ 1e-300): near-critical
 crossing slopes decay like exp(-c*pi/(2*omega)) and underflow any absolute
 floor long before they stop being meaningful, so the crossing test uses a
-tiny representability floor instead of a fixed threshold. Accuracy of
-bisected critical speeds is then set by the z horizon, about (pi / z_cap)^2.
+tiny representability floor instead of a fixed threshold.
 Speeds at or above 2 sqrt(max f(u)/u) need no shot (the comparison sector
 -lam phi <= Phi traps the orbit), and KPP-type terms, f(u) <= f'(0) u, get
 c* = 2 sqrt(f'(0)) exactly with no bisection (linear determinacy).
+
+Where the origin is a focus (c < 2 sqrt(f'(0)) for monostable f) a shot
+turns about it slowly and may not cross before the z horizon, so a
+bisected c* that sits at the node speed 2 sqrt(f'(0)) falls short by about
+(pi / z_cap)^2. Pushed speeds, c* > 2 sqrt(f'(0)), and bistable ones are
+bisected to tol. Above the node speed a monostable tag shot carries the
+node trap (_node_trap): it stops, with the tag the full-horizon shot would
+get, as soon as the orbit enters the wedge phi <= phi0,
+-c phi / 2 <= Phi <= 0, which it can leave only into the origin.
 
 Increasing semi-waves (psi(0) = 0, psi(+inf) = 1, psi' > 0) are exact
 mirror images: psi(z; c) for g equals phi(-z; -c), so all increasing-side
@@ -130,8 +138,15 @@ def _run_shot(f: ReactionSpec, c: float, y0, z_max: float, rel_tol: float,
     """The one shot: phi'' + c phi' + f(phi) = 0 forward in z from y0, the
     saddle launch or a compact profile's apex (sigma, 0)."""
 
+    # reaction.evaluate's Horner loop, inline: same floats, no ndarray test
+    top_down = f.coeffs[::-1]
+
     def rhs(z, y):
-        return (y[1], -c * y[1] - evaluate(f, y[0]))
+        u, p = y
+        acc = 0.0
+        for a in top_down:
+            acc = acc * u + a
+        return (p, -c * p - acc)
 
     return integrate(rhs, (0.0, z_max), y0, _SHOT_EVENTS + tuple(extra_events),
                      dense_output=dense, rel_tol=rel_tol, abs_tol=PURE_REL_ABS_TOL,
@@ -152,11 +167,44 @@ def _cut_shot(f: ReactionSpec, c: float, cut: float, rel_tol: float,
                      extra_events=(tail,)), mu
 
 
+def _node_trap(f: ReactionSpec, c: float) -> tuple:
+    """The terminal event that fires once a shot provably cannot cross, as a
+    1-tuple of extra events, or () where the argument below does not apply.
+
+    For a monostable f and c > 2 sqrt(f'(0)) the origin is a stable node.
+    Let phi0 be the smallest real part in (0, 1) of a root of
+    c^2/4 - f(u)/u, or 1; complex roots count too, which only lowers phi0.
+    On the line Phi = -c phi / 2 with 0 < phi <= phi0,
+    d(Phi + c phi / 2)/dz = c^2 phi / 4 - f(phi) >= 0, and Phi cannot rise
+    through 0 since there Phi' = -f(phi) < 0. So an orbit that enters
+    {0 < phi <= phi0, Phi >= -c phi / 2} stays in it and reaches the origin
+    without crossing: the shot may stop there as converges_origin.
+    """
+    if f.kind != "monostable" or f.coeffs[0] != 0.0 or c <= 0.0 \
+            or c * c <= 4.0 * derivative_at(f, 0.0):
+        return ()
+    quotient = np.polynomial.Polynomial(f.coeffs[1:])
+    roots = [r.real for r in (0.25 * c * c - quotient).roots() if 0.0 < r.real < 1.0]
+    phi0 = min(roots, default=1.0)
+    half_c = 0.5 * c
+
+    def trapped(z, y):
+        return min(phi0 - y[0], y[1] + half_c * y[0])
+
+    trapped.terminal, trapped.direction = True, 1.0
+    return (trapped,)
+
+
 def shoot_decreasing(f: ReactionSpec, c: float, z_max: float = Z_CAP_TAG,
                      rel_tol: float = TAG_REL_TOL) -> TrajectoryOutcome:
-    """Launch one decreasing shot at speed c and classify its outcome."""
+    """Launch one decreasing shot at speed c and classify its outcome.
+
+    A monostable shot past the node speed stops early once _node_trap shows
+    it cannot cross; the tag is the one the full-horizon shot would get.
+    """
     y0, _ = _launch_state(f, c)
-    return _classify(_run_shot(f, c, y0, z_max, rel_tol), c)
+    return _classify(_run_shot(f, c, y0, z_max, rel_tol,
+                               extra_events=_node_trap(f, c)), c)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -257,9 +305,10 @@ def critical_speed_decreasing(f: ReactionSpec, tol: float = 1e-8) -> float:
     """Largest speed c* admitting a decreasing semi-wave (bisection on shot tags).
 
     Crossing holds for c < c* and fails for c > c*. KPP-type terms get
-    2 sqrt(f'(0)) exactly; otherwise the returned value is accurate to the
-    shot-horizon fuzz (~5e-5 for monostable terms, much better for bistable
-    ones) or tol, whichever is larger.
+    2 sqrt(f'(0)) exactly. Pushed (c* > 2 sqrt(f'(0))) and bistable speeds
+    are accurate to about tol. Only a monostable c* equal to 2 sqrt(f'(0))
+    without being KPP-type carries the shot-horizon fuzz, ~5e-5, because
+    the origin is a focus just below it.
     """
     return _critical_speed_cached(f, float(tol))
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_bistable, make_monostable
 from freewave import phase_plane, reaction
@@ -87,6 +88,60 @@ def test_failed_slope_shot_is_cached(logistic, monkeypatch):
         with pytest.raises(NoSemiWave):
             phase_plane.semiwave_slope(logistic, 2.0)
     assert len(calls) == 1
+
+
+def _pushed(a, nu):
+    """u (1 - u) (a + a nu u): pushed for nu > 2, with c* = sqrt(a) (nu + 2) / sqrt(2 nu)."""
+    return (reaction.polynomial([0.0, a, a * nu - a, -a * nu]),
+            math.sqrt(a) * (nu + 2.0) / math.sqrt(2.0 * nu))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.3, 2.0), st.floats(2.5, 8.0), st.floats(0.01, 0.99),
+       st.floats(1e-7, 1e-6))
+def test_node_trap_keeps_the_horizon_tag(a, nu, fraction, offset):
+    # the trapped tag shot must tag every speed past the node speed as the
+    # full-horizon shot does, crossing or not, right up against c*
+    f, c_star = _pushed(a, nu)
+    lo = 2.0 * math.sqrt(a)
+    hi = 2.0 * math.sqrt(phase_plane._sector_growth(f))
+    tags = []
+    for c in (lo + fraction * (hi - lo), c_star - offset, c_star + offset):
+        y0, _ = phase_plane._launch_state(f, c)
+        full = phase_plane._run_shot(f, c, y0, phase_plane.Z_CAP_TAG,
+                                     phase_plane.TAG_REL_TOL)
+        tags.append(phase_plane.shoot_decreasing(f, c).tag)
+        assert tags[-1] == phase_plane._classify(full, c).tag
+    assert tags[1:] == ["crosses_zero", "converges_origin"]
+
+
+def test_pushed_speed_step_budget(monkeypatch):
+    # the node trap stops non-crossing bisection shots long before z = 450
+    steps = []
+    real = phase_plane.integrate
+
+    def counted(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        steps.append(len(traj.t) - 1)
+        return traj
+
+    monkeypatch.setattr(phase_plane, "integrate", counted)
+    phase_plane._critical_speed_cached.cache_clear()
+    f, c_star = _pushed(1.0, 4.0)
+    assert f.coeffs == (0.0, 1.0, 3.0, -4.0)
+    assert abs(phase_plane.critical_speed_decreasing(f) - c_star) <= 1e-7
+    assert sum(steps) <= 8000
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.floats(2.5, 8.0))
+def test_pushed_speed_property(nu):
+    f, exact = _pushed(1.0, nu)
+    c_star = phase_plane.critical_speed_decreasing(f)
+    assert abs(c_star - exact) <= 1e-6
+    growth = phase_plane._sector_growth(f)
+    assert 2.0 * math.sqrt(reaction.derivative_at(f, 0.0)) < c_star < 2.0 * math.sqrt(growth)
+    assert phase_plane.critical_speed_increasing(f) == -c_star
 
 
 def test_shot_outcome_fields(logistic):
