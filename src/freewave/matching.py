@@ -288,11 +288,6 @@ def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float, beta: floa
 # three species
 
 
-def hat_c1(f1: ReactionSpec, alpha: float) -> float:
-    """Root of alpha phi1'(0;c) + c; positive, below c*(f1)."""
-    return hat_c_f(f1, alpha)
-
-
 def hat_c3(f3: ReactionSpec, gamma: float) -> float:
     """Root of gamma psi3'(0;c) + c; negative, above -c*(f3), by reflection."""
     if gamma <= 0.0:
@@ -324,7 +319,7 @@ def case_classify(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
                   alpha: float, gamma: float, sigma: float) -> CaseTag:
     """Classify the configuration and compute the admissible speed interval."""
     win = speed_window(f2, sigma)
-    c1 = hat_c1(f1, alpha)
+    c1 = hat_c_f(f1, alpha)
     c3 = hat_c3(f3, gamma)
     c_minus = max(c3, win.c_star_l)
     c_plus = min(c1, win.c_star_r)
@@ -476,12 +471,6 @@ class DispersionCurve:
     endpoints: tuple
     c: np.ndarray
     columns: dict
-
-    @property
-    def samples(self):
-        """Rows (c, coefficient values...) as a 2D array."""
-        cols = [self.c] + [self.columns[k] for k in sorted(self.columns)]
-        return np.column_stack(cols)
 
 
 def dispersion_curve(kind: str, params: dict, grid) -> DispersionCurve:

@@ -93,8 +93,8 @@ def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
     on the step's interpolant; scipy's conventions apply: an attribute
     terminal = True stops the integration at the earliest such root, and
     direction > 0 (< 0) counts only rising (falling) crossings. Raises
-    StepError when the step size falls below 10 ulp of t or after
-    MAX_STEPS accepted steps.
+    StepError when the step size falls below 10 ulp of t or is NaN, or
+    after MAX_STEPS accepted steps.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     direction = -1.0 if t_end < t else 1.0
@@ -119,7 +119,7 @@ def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:     # true for a NaN step as well
                 raise StepError("integration failed: required step size is less "
                                 "than spacing between numbers at t = %g" % t)
             t_new = t + h_abs * direction

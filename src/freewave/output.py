@@ -35,11 +35,6 @@ def write_csv(path: str, header, rows, config: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_profile_csv(path: str, z, values, config: dict,
-                      value_name: str = "value") -> None:
-    write_csv(path, ("z", value_name), zip(z, values), config)
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

@@ -14,7 +14,6 @@ Coefficients are stored in increasing-power order: f(u) = sum c_k u^k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -166,45 +165,3 @@ def classify(coeffs) -> tuple:
 
     raise InvalidReaction(
         "reaction has %d interior zeros in (0, 1); expected 0 or 1" % len(distinct))
-
-
-def to_json(spec: ReactionSpec) -> str:
-    payload = {"coeffs": list(spec.coeffs), "kind": spec.kind}
-    if spec.theta is not None:
-        payload["theta"] = spec.theta
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> ReactionSpec:
-    """Parse a JSON reaction description, naming the offending field on error."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidReaction("not valid JSON: %s" % exc) from exc
-    if not isinstance(payload, dict):
-        raise InvalidReaction("expected a JSON object, got %s" % type(payload).__name__)
-    allowed = {"coeffs", "kind", "theta"}
-    for key in payload:
-        if key not in allowed:
-            raise InvalidReaction("unknown field %r" % key)
-    if "coeffs" not in payload:
-        raise InvalidReaction("missing field 'coeffs'")
-    coeffs = payload["coeffs"]
-    if not isinstance(coeffs, list) or not coeffs or \
-            not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs):
-        raise InvalidReaction("field 'coeffs' must be a non-empty list of numbers")
-    kind = payload.get("kind")
-    if kind is not None and not isinstance(kind, str):
-        raise InvalidReaction("field 'kind' must be a string")
-    theta = payload.get("theta")
-    if theta is not None and (isinstance(theta, bool) or not isinstance(theta, (int, float))):
-        raise InvalidReaction("field 'theta' must be a number")
-    spec = polynomial(coeffs, kind=kind)
-    if theta is not None:
-        if spec.theta is None:
-            raise InvalidReaction(
-                "field 'theta' given but the coefficients classify as %r" % spec.kind)
-        if abs(spec.theta - theta) > 1e-6:
-            raise InvalidReaction(
-                "declared theta %g disagrees with computed interior zero %g" % (theta, spec.theta))
-    return spec

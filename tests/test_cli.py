@@ -162,3 +162,48 @@ def test_tol_only_where_read(capsys):
     assert cli.main(["two", "--f", "logistic", "--g", "logistic", "--alpha", "1",
                      "--beta", "1", "--tol", "1e-6"]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_huge_speed_exits_4(capsys):
+    # the first step size overflows to NaN; the integrator stops instead of looping
+    assert cli.main(["semiwave", "--f", "logistic", "--c", "1e300"]) == 4
+    assert capsys.readouterr().err.startswith("error: infeasible:")
+
+
+@pytest.mark.parametrize("argv, key, val, expected", [
+    (["semiwave", "--c", "0.3"], "f", 1, "a string"),
+    (["semiwave", "--f", "logistic", "--c", "0.3"], "out", 5, "a string"),
+    (["semiwave", "--f", "logistic", "--c", "0.3"], "plot", "yes", "true or false"),
+    (["compact", "--f2", "cubic:0.25"], "sigma", "0.5", "a number"),
+    (["dispersion", "--kind", "two_beta", "--f", "logistic", "--g", "logistic",
+      "--alpha", "1"], "grid", 3, "a string"),
+])
+def test_config_field_types_exit_3(argv, key, val, expected, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: val}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "error: config field %r: expected %s, got %s\n" % (
+        key, expected, json.dumps(val))
+
+
+def test_config_integer_beyond_float_range_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"c": 1%s}' % ("0" * 400))
+    assert cli.main(["semiwave", "--f", "logistic", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "error: --c must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["two", "--f", "logistic", "--g", "logistic", "--alpha", "1", "--beta", "nan"],
+    ["two", "--f", "logistic", "--g", "logistic", "--beta", "1", "--alpha", "inf"],
+    ["verify", "--f", "logistic", "--g", "logistic", "--alpha", "1", "--beta", "1",
+     "--L", "inf"],
+    ["verify", "--f", "logistic", "--g", "logistic", "--alpha", "1", "--beta", "1",
+     "--T", "inf"],
+    ["speed", "--reaction", "cubic:0.25", "--tol", "inf"],
+    ["semiwave", "--f", "logistic", "--c", "0.3", "--far-tol", "inf"],
+    ["compact", "--f2", "cubic:0.25", "--sigma", "nan"],
+])
+def test_non_finite_values_exit_3(argv, capsys):
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: %s must be finite, got %s\n" % tuple(argv[-2:])

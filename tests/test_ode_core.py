@@ -76,6 +76,22 @@ def test_finite_time_blow_up_raises():
         ode_core.integrate(lambda t, y: (y[0] * y[0], 0.0), (0.0, 2.0), [1.0, 0.0])
 
 
+def test_nan_step_raises():
+    # a NaN step size fails every comparison, so the step guard must be
+    # written to stop it; the cap on calls turns a runaway loop into a failure
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) > 100:
+            raise RuntimeError("integrate kept stepping on NaN")
+        return math.nan, math.nan
+
+    with pytest.raises(StepError):
+        ode_core.integrate(rhs, (0.0, 1.0), [1.0, 0.0])
+    assert len(calls) <= 10
+
+
 def _oracle_shot(f, c, y0, rel_tol):
     """The shot phase_plane._run_shot takes, integrated by scipy's solve_ivp."""
 

@@ -42,15 +42,6 @@ def test_write_csv_roundtrips_floats(tmp_path):
         assert gx == x and gy == y
 
 
-def test_write_profile_csv(tmp_path):
-    path = str(tmp_path / "p.csv")
-    z = np.linspace(0, 1, 5)
-    output.write_profile_csv(path, z, z ** 2, {"c": 0.0}, value_name="phi")
-    lines = open(path).read().splitlines()
-    assert lines[1] == "z,phi"
-    assert len(lines) == 7
-
-
 def test_write_json_sorted(tmp_path):
     path = str(tmp_path / "o.json")
     output.write_json(path, {"z": 1, "a": {"y": 2, "b": 3}})

@@ -75,25 +75,6 @@ def test_invalid_reactions():
         reaction.polynomial([0.0, -1.0, 1.0])   # negative on (0, 1)
 
 
-def test_json_roundtrip(logistic, cubic25, rng):
-    for spec in (logistic, cubic25, make_monostable(rng), make_bistable(rng)):
-        text = reaction.to_json(spec)
-        back = reaction.from_json(text)
-        assert back == spec
-
-
-def test_json_diagnostics(cubic25):
-    good = reaction.to_json(cubic25)
-    with pytest.raises(InvalidReaction, match="coeffs"):
-        reaction.from_json('{"kind": "bistable"}')
-    with pytest.raises(InvalidReaction, match="flavor"):
-        reaction.from_json(good.replace("kind", "flavor"))
-    with pytest.raises(InvalidReaction, match="coeffs"):
-        reaction.from_json('{"coeffs": "oops", "kind": "monostable"}')
-    with pytest.raises(InvalidReaction, match="theta"):
-        reaction.from_json('{"coeffs": [0.0, 1.0, -1.0], "kind": "monostable", "theta": 0.4}')
-
-
 def test_spec_is_hashable(logistic):
     assert hash(logistic) == hash(reaction.logistic())
     assert logistic == reaction.logistic()
