@@ -382,15 +382,18 @@ def main(argv=None) -> int:
         files = run(vals)
         if out:
             config = _resolved_config(args.command, vals)
-            output.ensure_dir(out)
-            for name, data in files.items():
-                path = os.path.join(out, name)
-                if name.endswith(".json"):
-                    output.write_json(path, dict(data, config=config))
-                elif name.endswith(".csv"):
-                    output.write_csv(path, *data, config)
-                elif plot:
-                    output.svg_polylines(path, *data)
+            try:
+                output.ensure_dir(out)
+                for name, data in files.items():
+                    path = os.path.join(out, name)
+                    if name.endswith(".json"):
+                        output.write_json(path, dict(data, config=config))
+                    elif name.endswith(".csv"):
+                        output.write_csv(path, *data, config)
+                    elif plot:
+                        output.svg_polylines(path, *data)
+            except OSError as exc:
+                raise SchemaError("cannot write under --out: %s" % exc)
     except SchemaError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_SCHEMA

@@ -32,8 +32,7 @@ from scipy.integrate import quad
 from .errors import Infeasible, NoSemiWave
 from .phase_plane import (CROSSES, SLOPE_REL_TOL, TAG_REL_TOL, Z_CAP_TAG,
                           TrajectoryOutcome, _classify, _last_crossing_speed,
-                          _run_shot, critical_speed_decreasing,
-                          critical_speed_increasing)
+                          _run_shot, _sector_growth, critical_speed_increasing)
 from .reaction import ReactionSpec, evaluate, primitive_at
 
 
@@ -84,10 +83,8 @@ def right_slope(f2: ReactionSpec, sigma: float, c: float,
 
 @functools.lru_cache(maxsize=256)
 def _right_edge_cached(f2: ReactionSpec, sigma: float, tol: float) -> float:
-    def crosses(c):
-        return _apex_shot(f2, sigma, c, TAG_REL_TOL)[0].tag == CROSSES
-
-    return _last_crossing_speed(crosses, critical_speed_decreasing(f2) + 1.0, tol)
+    return _last_crossing_speed(
+        f2, lambda c: _apex_shot(f2, sigma, c, TAG_REL_TOL)[0], tol)
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,8 @@ def speed_window(f2: ReactionSpec, sigma: float, tol: float = 1e-8) -> SpeedWind
     """Bisect the edge-connection window of apex height sigma.
 
     c*_l = -c*_r exactly by the reflection symmetry of the two halves, so a
-    single bisection determines both. Cached on (f2, sigma, tol).
+    single bisection determines both; it runs on the bracket of c*(f2),
+    [c_focus, 2 sqrt(K)]. Cached on (f2, sigma, tol).
     """
     _check_apex(f2, sigma)
     c_r = _right_edge_cached(f2, float(sigma), float(tol))
@@ -147,9 +145,12 @@ def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
     reflected forward shot at -c; they join smoothly at the apex. Raises
     an out-of-window error carrying the window when either edge fails.
     """
-    res_l, traj_l = _apex_shot(f2, sigma, -c, rel_tol, dense=True)
-    res_r, traj_r = _apex_shot(f2, sigma, c, rel_tol, dense=True)
-    if res_l.tag != CROSSES or res_r.tag != CROSSES:
+    # from the sector speed 2 sqrt(K) on, an edge cannot connect: no shot
+    inside = abs(c) < 2.0 * math.sqrt(_sector_growth(f2))
+    if inside:
+        res_l, traj_l = _apex_shot(f2, sigma, -c, rel_tol, dense=True)
+        res_r, traj_r = _apex_shot(f2, sigma, c, rel_tol, dense=True)
+    if not inside or res_l.tag != CROSSES or res_r.tag != CROSSES:
         win = speed_window(f2, sigma)
         raise Infeasible(
             "speed %g outside the compact-wave window (%.8g, %.8g) for sigma = %g"

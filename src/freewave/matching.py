@@ -48,8 +48,6 @@ from .phase_plane import (SemiWave, critical_speed_decreasing,
                           semiwave_slope_increasing)
 from .reaction import ReactionSpec, primitive_at
 
-_SHRINK = 1e-6
-
 
 def _or_zero(slope, *args) -> float:
     """slope(*args), or its limit 0 where the shot no longer connects.
@@ -196,10 +194,9 @@ def _hat_c_cached(f: ReactionSpec, alpha: float, tol: float) -> float:
     def objective(c):
         return alpha * _or_zero(semiwave_slope, f, c) + c
 
-    lo = 0.0
-    f_lo = alpha * semiwave_slope(f, 0.0)
-    hi = c_star - _SHRINK
-    return find_root_monotone(objective, lo, hi, tol=tol, f_lo=f_lo)
+    # the slope vanishes at c*, so the objective's limit there is c* > 0
+    return find_root_monotone(objective, 0.0, c_star, tol=tol,
+                              f_lo=alpha * semiwave_slope(f, 0.0), f_hi=c_star)
 
 
 def hat_c_f(f: ReactionSpec, alpha: float, tol: float = 1e-10) -> float:

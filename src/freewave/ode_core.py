@@ -120,8 +120,9 @@ def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
         rejected = False
         while True:
             if not h_abs >= min_step:     # true for a NaN step as well
-                raise StepError("integration failed: required step size is less "
-                                "than spacing between numbers at t = %g" % t)
+                raise StepError("integration failed: %s at t = %g" % (
+                    "the step size is NaN" if math.isnan(h_abs) else
+                    "required step size is less than spacing between numbers", t))
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0.0:
                 t_new = t_end

@@ -18,18 +18,16 @@ Integration runs in pure-relative mode (abs_tol ~ 1e-300): near-critical
 crossing slopes decay like exp(-c*pi/(2*omega)) and underflow any absolute
 floor long before they stop being meaningful, so the crossing test uses a
 tiny representability floor instead of a fixed threshold.
-Speeds at or above 2 sqrt(max f(u)/u) need no shot (the comparison sector
--lam phi <= Phi traps the orbit), and KPP-type terms, f(u) <= f'(0) u, get
-c* = 2 sqrt(f'(0)) exactly with no bisection (linear determinacy).
-
-Where the origin is a focus (c < 2 sqrt(f'(0)) for monostable f) a shot
-turns about it slowly and may not cross before the z horizon, so a
-bisected c* that sits at the node speed 2 sqrt(f'(0)) falls short by about
-(pi / z_cap)^2. Pushed speeds, c* > 2 sqrt(f'(0)), and bistable ones are
-bisected to tol. Above the node speed a monostable tag shot carries the
-node trap (_node_trap): it stops, with the tag the full-horizon shot would
-get, as soon as the orbit enters the wedge phi <= phi0,
--c phi / 2 <= Phi <= 0, which it can leave only into the origin.
+Critical speeds and compact-wave window edges are bisected on shot tags
+inside [c_focus, 2 sqrt(K)], K = max f(u)/u, with c_focus = 2 sqrt(f'(0))
+for monostable f and 0 for bistable f: every shot crosses below c_focus
+and none from 2 sqrt(K) on (_last_crossing_speed). Neither end costs a
+shot, every bisected speed is accurate to tol, and KPP-type terms,
+f(u) <= f'(0) u, get c* = 2 sqrt(f'(0)) exactly (linear determinacy).
+Above the node speed 2 sqrt(f'(0)) a monostable tag shot carries the node
+trap (_node_trap): it stops, with the tag the full-horizon shot would get,
+as soon as the orbit enters the wedge phi <= phi0, -c phi / 2 <= Phi <= 0,
+which it can leave only into the origin.
 
 Increasing semi-waves (psi(0) = 0, psi(+inf) = 1, psi' > 0) are exact
 mirror images: psi(z; c) for g equals phi(-z; -c), so all increasing-side
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, InvalidReaction, NoSemiWave
+from .errors import InvalidReaction, NoSemiWave
 from .ode_core import bisect_predicate, find_root_monotone, integrate
 from .reaction import ReactionSpec, derivative_at, evaluate
 
@@ -231,20 +229,9 @@ def semiwave_slope_increasing(g: ReactionSpec, c: float,
     return -semiwave_slope(g, -c, rel_tol=rel_tol)
 
 
-def _speed_upper_bound(f: ReactionSpec) -> float:
-    """Data-driven upper bound for the critical speed: 2 sqrt(sup f(u)/u) + 1."""
-    if f.kind == "monostable":
-        base = derivative_at(f, 0.0)
-    else:
-        base = 0.0
-    grid = np.linspace(1e-6, 1.0, 2001)
-    base = max(base, float(np.max(evaluate(f, grid) / grid)))
-    return 2.0 * math.sqrt(max(base, 1e-12)) + 1.0
-
-
 def _sector_growth(f: ReactionSpec) -> float:
     """K = max of f(u)/u on [0, 1], from the critical points of the quotient
-    polynomial; inf unless f(0) = 0 exactly.
+    polynomial; f(0) must be 0 exactly.
 
     For c >= 2 sqrt(K) let lam = (c - sqrt(c^2 - 4K)) / 2. On the line
     Phi = -lam phi, d(Phi + lam phi)/dz = K phi - f(phi) >= 0, so a shot
@@ -252,63 +239,52 @@ def _sector_growth(f: ReactionSpec) -> float:
     no decreasing semi-wave exists there.
     """
     if f.coeffs[0] != 0.0:
-        return math.inf
+        raise InvalidReaction("f(0) must be exactly 0, got %g" % f.coeffs[0])
     g = np.polynomial.Polynomial(f.coeffs[1:])
     points = [0.0, 1.0] + [r.real for r in g.deriv().roots()
                            if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
     return max(float(g(u)) for u in points)
 
 
+def _last_crossing_speed(f: ReactionSpec, shot, tol: float) -> float:
+    """The speed where shot(c) stops crossing, bisected on [c_focus, 2 sqrt(K)].
+
+    shot(c) is a saddle or apex shot of f at speed c. For monostable f and
+    0 <= c < c_focus = 2 sqrt(f'(0)) the energy Phi^2/2 + F(phi) falls along
+    the orbit and f has no zero in (0, 1), so an orbit that never crossed
+    would converge to the origin; the origin is a focus there, so it would
+    spiral, and it crosses. For bistable f, c_focus = 0, where positive
+    mass or apex energy makes the shot cross. From 2 sqrt(K) on, the sector
+    trap (_sector_growth) holds. Neither end costs a shot, and KPP-type
+    terms (c_focus = 2 sqrt(K)) get 2 sqrt(K) exactly with no bisection.
+    """
+    c_focus = 2.0 * math.sqrt(derivative_at(f, 0.0)) if f.kind == "monostable" else 0.0
+    trap = 2.0 * math.sqrt(_sector_growth(f))
+    if c_focus >= trap:
+        return trap
+
+    def crosses(c):
+        return c <= c_focus or (c < trap and shot(c).tag == CROSSES)
+
+    return bisect_predicate(crosses, c_focus, trap, tol=tol)
+
+
 @functools.lru_cache(maxsize=256)
 def _critical_speed_cached(f: ReactionSpec, tol: float) -> float:
-    growth = _sector_growth(f)
-    trap = 2.0 * math.sqrt(max(growth, 0.0))
-    if f.kind == "monostable" and growth <= derivative_at(f, 0.0):
-        # KPP type: below 2 sqrt(f'(0)) the origin is a focus and every shot
-        # crosses, and from there on the sector traps, so c* = trap exactly
-        return trap
     # the speed where the tag flips is only as sharp as the shots behind it,
     # so tighter speed requests get proportionally tighter integrations
     shot_rel = min(TAG_REL_TOL, max(10.0 * tol, 1e-13))
-
-    def crosses(c):
-        return c < trap and shoot_decreasing(f, c, rel_tol=shot_rel).tag == CROSSES
-
-    return _last_crossing_speed(crosses, _speed_upper_bound(f), tol)
-
-
-def _last_crossing_speed(crosses, hi: float, tol: float) -> float:
-    """Bisect the speed above 0 where shots stop crossing; hi doubles up to 5 times."""
-    seen = {}
-
-    def tag(c):
-        # bisect_predicate asks again at both ends of the bracket
-        if c not in seen:
-            seen[c] = crosses(c)
-        return seen[c]
-
-    lo = 0.0
-    if not tag(lo):
-        # cannot happen for valid inputs (positive mass, or positive apex
-        # energy, forces a crossing at c = 0), kept as a hard guard
-        raise BracketError("no crossing at c = 0; no positive mass or apex energy")
-    for _ in range(5):
-        if not tag(hi):
-            break
-        hi = lo + 2.0 * (hi - lo)
-    else:
-        raise BracketError("crossing persists up to c = %g; no critical speed found" % hi)
-    return bisect_predicate(tag, lo, hi, tol=tol)
+    return _last_crossing_speed(
+        f, lambda c: shoot_decreasing(f, c, rel_tol=shot_rel), tol)
 
 
 def critical_speed_decreasing(f: ReactionSpec, tol: float = 1e-8) -> float:
     """Largest speed c* admitting a decreasing semi-wave (bisection on shot tags).
 
-    Crossing holds for c < c* and fails for c > c*. KPP-type terms get
-    2 sqrt(f'(0)) exactly. Pushed (c* > 2 sqrt(f'(0))) and bistable speeds
-    are accurate to about tol. Only a monostable c* equal to 2 sqrt(f'(0))
-    without being KPP-type carries the shot-horizon fuzz, ~5e-5, because
-    the origin is a focus just below it.
+    Crossing holds for c < c* and fails for c > c*. The bisection runs on
+    [c_focus, 2 sqrt(K)] (see _last_crossing_speed), so every c* is accurate
+    to about tol, a linearly determinate one at 2 sqrt(f'(0)) included, and
+    KPP-type terms get 2 sqrt(f'(0)) exactly with no shot.
     """
     return _critical_speed_cached(f, float(tol))
 

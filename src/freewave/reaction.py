@@ -65,13 +65,15 @@ def polynomial(coeffs, kind: Optional[str] = None) -> ReactionSpec:
     """Build a ReactionSpec from raw coefficients, classifying if kind is None.
 
     Always validates the structural requirements of the resulting kind.
+    classify accepts a rounding-sized f(0); the constant term is stored as
+    exactly 0, which the speed bounds of phase_plane rely on.
     """
     coeffs = tuple(float(c) for c in coeffs)
     found_kind, theta = classify(coeffs)
     if kind is not None and kind != found_kind:
         raise InvalidReaction(
             "declared kind %r but coefficients classify as %r" % (kind, found_kind))
-    return ReactionSpec(coeffs=coeffs, kind=found_kind, theta=theta)
+    return ReactionSpec(coeffs=(0.0,) + coeffs[1:], kind=found_kind, theta=theta)
 
 
 def evaluate(spec: ReactionSpec, u):

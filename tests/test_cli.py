@@ -170,6 +170,21 @@ def test_huge_speed_exits_4(capsys):
     assert capsys.readouterr().err.startswith("error: infeasible:")
 
 
+def test_rounding_sized_constant_term_gives_the_exact_speed(capsys):
+    # classify accepts |f(0)| up to 1e-10 of the largest coefficient
+    assert cli.main(["speed", "--reaction", "poly:1e-12,1,-1"]) == 0
+    assert "c_star_decreasing = 2.0000000\n" in capsys.readouterr().out
+
+
+def test_out_on_a_file_exits_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["speed", "--reaction", "logistic", "--out", str(taken)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "\n" not in err.strip()
+
+
 @pytest.mark.parametrize("argv, key, val, expected", [
     (["semiwave", "--c", "0.3"], "f", 1, "a string"),
     (["semiwave", "--f", "logistic", "--c", "0.3"], "out", 5, "a string"),

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_monostable
+from conftest import make_bistable, make_monostable
 from freewave import compact_wave, phase_plane, reaction
 from freewave.errors import Infeasible, NoSemiWave
-from freewave.reaction import primitive_at
+from freewave.reaction import derivative_at, evaluate, primitive_at
 
 
 def test_zero_speed_slope_energy_identity(logistic, cubic25, rng):
@@ -139,3 +140,40 @@ def test_failed_edge_shot_is_cached(logistic, monkeypatch):
         with pytest.raises(NoSemiWave):
             compact_wave.right_slope(logistic, 0.5, 2.5)
     assert len(calls) == 1
+
+
+def test_speed_past_the_sector_is_infeasible_without_a_shot(cubic25, monkeypatch):
+    # from 2 sqrt(K) on no edge connects; the error still quotes the window
+    compact_wave.speed_window(cubic25, 0.5)
+    calls = []
+    real = phase_plane.integrate
+    monkeypatch.setattr(phase_plane, "integrate",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for c in (1e300, -math.inf, math.nan):
+        with pytest.raises(Infeasible, match="outside the compact-wave window"):
+            compact_wave.compact_profile(cubic25, 0.5, c)
+    assert calls == []
+
+
+def test_logistic_window_needs_no_shot(logistic, monkeypatch):
+    # KPP type: the bracket [2 sqrt(f'(0)), 2 sqrt(K)] is a single point
+    calls = []
+    monkeypatch.setattr(phase_plane, "integrate", lambda *a, **k: calls.append(1))
+    compact_wave._right_edge_cached.cache_clear()
+    phase_plane._critical_speed_cached.cache_clear()
+    assert compact_wave.speed_window(logistic, 0.5).c_star_r == 2.0
+    assert calls == []
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.3, 0.9))
+def test_critical_speeds_lie_in_the_analytic_bracket(seed, sigma):
+    # every shot below c_focus crosses (2 sqrt(f'(0)) for monostable f, 0 for
+    # bistable f) and none at or above 2 sqrt(K), for saddle and apex alike
+    rng = np.random.default_rng(seed)
+    for f in (make_monostable(rng), make_bistable(rng)):
+        lo = 2.0 * math.sqrt(derivative_at(f, 0.0)) if f.kind == "monostable" else 0.0
+        hi = 2.0 * math.sqrt(phase_plane._sector_growth(f))
+        assert lo <= phase_plane.critical_speed_decreasing(f) <= hi
+        if evaluate(f, sigma) > 0.0 and primitive_at(f, sigma) > 0.0:
+            assert lo <= compact_wave.speed_window(f, sigma).c_star_r <= hi

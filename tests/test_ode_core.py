@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import make_bistable, make_monostable
-from freewave import ode_core, phase_plane
+from freewave import ode_core, phase_plane, reaction
 from freewave.errors import BracketError, StepError
 from freewave.reaction import evaluate
 
@@ -92,6 +92,12 @@ def test_nan_step_raises():
     assert len(calls) <= 10
 
 
+def test_nan_step_has_its_own_message():
+    # at c = 1e300 the first-step estimate is NaN, not a step below rounding
+    with pytest.raises(StepError, match="step size is NaN"):
+        phase_plane.shoot_decreasing(reaction.logistic(), 1e300)
+
+
 def _oracle_shot(f, c, y0, rel_tol):
     """The shot phase_plane._run_shot takes, integrated by scipy's solve_ivp."""
 
@@ -115,8 +121,11 @@ def _oracle_shot(f, c, y0, rel_tol):
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2 ** 32 - 1), st.floats(-0.95, 0.95), st.floats(0.85, 0.95))
+@example(seed=8, fraction=0.0, sigma=0.875)
 def test_kernel_matches_scipy_oracle(seed, fraction, sigma):
-    # saddle and apex shots of random cubics at speeds inside (-c*, c*)
+    # saddle and apex shots of random cubics at speeds inside (-c*, c*); the
+    # kernel's step sizes match scipy's to rounding, not bit for bit, so over
+    # a long shot the count of accepted steps may drift by about 1 %
     rng = np.random.default_rng(seed)
     for f in (make_monostable(rng), make_bistable(rng)):
         c = fraction * phase_plane.critical_speed_decreasing(f)
@@ -126,7 +135,8 @@ def test_kernel_matches_scipy_oracle(seed, fraction, sigma):
                 oracle = _oracle_shot(f, c, y0, rel_tol)
                 got = phase_plane._classify(traj, c)
                 want = phase_plane._classify(oracle, c)
-                assert (got.tag, len(traj.t)) == (want.tag, len(oracle.t))
+                assert got.tag == want.tag
+                assert abs(len(traj.t) - len(oracle.t)) <= 1 + 0.01 * len(oracle.t)
                 assert got.z_stop == pytest.approx(want.z_stop, rel=1e-9, abs=0.0)
                 assert got.dphi_stop == pytest.approx(want.dphi_stop, rel=1e-9, abs=0.0)
 

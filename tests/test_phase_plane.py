@@ -144,6 +144,23 @@ def test_pushed_speed_property(nu):
     assert phase_plane.critical_speed_increasing(f) == -c_star
 
 
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.2, 2.0))
+def test_linear_determinacy_speed(nu):
+    # u (1-u)(1 + nu u) with 1 < nu <= 2 is not KPP-type, yet its c* is the
+    # linear speed 2 sqrt(f'(0)) = 2, the lower end of the bisection bracket
+    f, _ = _pushed(1.0, nu)
+    assert abs(phase_plane.critical_speed_decreasing(f) - 2.0) <= 1e-7
+
+
+def test_sector_growth_needs_an_exact_zero_at_the_origin():
+    # polynomial stores the rounding-sized f(0) that classify accepts as 0
+    assert reaction.polynomial((1e-12, 1.0, -1.0)).coeffs == (0.0, 1.0, -1.0)
+    direct = reaction.ReactionSpec(coeffs=(1e-12, 1.0, -1.0), kind="monostable")
+    with pytest.raises(InvalidReaction):
+        phase_plane._sector_growth(direct)
+
+
 def test_shot_outcome_fields(logistic):
     out = phase_plane.shoot_decreasing(logistic, 0.0)
     assert out.tag == "crosses_zero"
