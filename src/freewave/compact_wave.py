@@ -4,7 +4,9 @@ The middle species of a three-species wave occupies a finite interval in
 the wave frame: phi2 > 0 on (0, W), phi2(0) = phi2(W) = 0, with a single
 apex where phi2' = 0. Given the apex height sigma, each half is a shot of
 the profile equation phi'' + c phi' + f2(phi) = 0 launched forward in z
-from the apex state (sigma, 0), the same shot that builds semi-waves:
+from the apex state (sigma, 0): phase_plane's shot with apex = sigma,
+which shares the semi-wave shot's slope cache, critical-speed search,
+node trap, horizons and tolerances:
 
 * the right half at speed c is the forward shot at c, ending where phi
   falls through 0 with edge slope omega_r < 0;
@@ -22,45 +24,17 @@ first integral.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import Infeasible, NoSemiWave
-from .phase_plane import (CROSSES, SLOPE_REL_TOL, TAG_REL_TOL, Z_CAP_TAG,
-                          TrajectoryOutcome, _classify, _last_crossing_speed,
-                          _run_shot, _sector_growth, critical_speed_increasing)
+from .errors import Infeasible
+from .phase_plane import (CROSSES, SLOPE_REL_TOL, Z_CAP_SLOPE, _check_apex,
+                          _critical_speed_cached, _edge_slope, _sector_growth,
+                          _shot, critical_speed_increasing)
 from .reaction import ReactionSpec, evaluate, primitive_at
-
-
-def _check_apex(f2: ReactionSpec, sigma: float) -> None:
-    if not 0.0 < sigma < 1.0:
-        raise Infeasible("apex height must lie in (0, 1), got %g" % sigma)
-    if evaluate(f2, sigma) <= 0.0:
-        raise Infeasible(
-            "apex height %g has f2(sigma) <= 0; the profile cannot bend down there" % sigma)
-    if primitive_at(f2, sigma) <= 0.0:
-        raise Infeasible(
-            "apex energy F2(%g) = %g is not positive; no edge connection exists"
-            % (sigma, primitive_at(f2, sigma)))
-
-
-def _apex_shot(f2: ReactionSpec, sigma: float, c: float, rel_tol: float,
-               dense: bool = False):
-    """Forward shot from the apex (sigma, 0) at speed c: the right half at c."""
-    _check_apex(f2, sigma)
-    traj = _run_shot(f2, c, (sigma, 0.0), Z_CAP_TAG, rel_tol, dense=dense)
-    return _classify(traj, c), traj
-
-
-@functools.lru_cache(maxsize=8192)
-def _right_slope_cached(f2: ReactionSpec, sigma: float, c: float,
-                        rel_tol: float) -> TrajectoryOutcome:
-    # the outcome, not the slope: a shot that fails to cross is cached too
-    return _apex_shot(f2, sigma, c, rel_tol)[0]
 
 
 def left_slope(f2: ReactionSpec, sigma: float, c: float,
@@ -73,18 +47,7 @@ def left_slope(f2: ReactionSpec, sigma: float, c: float,
 def right_slope(f2: ReactionSpec, sigma: float, c: float,
                 rel_tol: float = SLOPE_REL_TOL) -> float:
     """Right edge slope omega_r(c) < 0; raises NoSemiWave if the edge is not reached."""
-    res = _right_slope_cached(f2, float(sigma), float(c), float(rel_tol))
-    if res.tag != CROSSES:
-        raise NoSemiWave(
-            "no edge connection of the forward apex shot at c = %g, sigma = %g (shot %s)"
-            % (c, sigma, res.tag))
-    return res.dphi_stop
-
-
-@functools.lru_cache(maxsize=256)
-def _right_edge_cached(f2: ReactionSpec, sigma: float, tol: float) -> float:
-    return _last_crossing_speed(
-        f2, lambda c: _apex_shot(f2, sigma, c, TAG_REL_TOL)[0], tol)
+    return _edge_slope(f2, float(sigma), c, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -110,7 +73,7 @@ def speed_window(f2: ReactionSpec, sigma: float, tol: float = 1e-8) -> SpeedWind
     [c_focus, 2 sqrt(K)]. Cached on (f2, sigma, tol).
     """
     _check_apex(f2, sigma)
-    c_r = _right_edge_cached(f2, float(sigma), float(tol))
+    c_r = _critical_speed_cached(f2, float(sigma), float(tol))
     full = critical_speed_increasing(f2, tol=tol)
     ratio = primitive_at(f2, sigma) / primitive_at(f2, 1.0)
     return SpeedWindow(c_star_l=-c_r, c_star_r=c_r,
@@ -148,8 +111,8 @@ def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
     # from the sector speed 2 sqrt(K) on, an edge cannot connect: no shot
     inside = abs(c) < 2.0 * math.sqrt(_sector_growth(f2))
     if inside:
-        res_l, traj_l = _apex_shot(f2, sigma, -c, rel_tol, dense=True)
-        res_r, traj_r = _apex_shot(f2, sigma, c, rel_tol, dense=True)
+        res_l, traj_l = _shot(f2, -c, Z_CAP_SLOPE, rel_tol, sigma, dense=True)
+        res_r, traj_r = _shot(f2, c, Z_CAP_SLOPE, rel_tol, sigma, dense=True)
     if not inside or res_l.tag != CROSSES or res_r.tag != CROSSES:
         win = speed_window(f2, sigma)
         raise Infeasible(

@@ -38,7 +38,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import StepError
 from .matching import TwoSpeciesWave
-from .reaction import ReactionSpec, evaluate
+from .reaction import evaluate
 
 _FAR_FIELD_TOL = 1e-6
 # fewest grid cells a side: the interface stencil needs three points, and
@@ -105,21 +105,6 @@ def _advance(u, v, dx, dt, lu, f, g, alpha, beta) -> float:
     u[1:-1] = x[:, 0]
     v[1:-1] = x[:, 1]
     return sp
-
-
-def step(state: FrontFrameState, dt: float, f: ReactionSpec, g: ReactionSpec,
-         alpha: float, beta: float) -> FrontFrameState:
-    """Advance the frame state by one IMEX Euler step of size dt.
-
-    Raises StepError, leaving the state untouched, if dt violates the
-    advection CFL bound dx / |s'| at the state's interface speed.
-    """
-    dx = state.dx
-    u = state.u.copy()
-    v = state.v.copy()
-    sp = _advance(u, v, dx, dt, _factor(dx, dt, u.size - 2), f, g, alpha, beta)
-    return FrontFrameState(u=u, v=v, s=state.s + dt * sp, speed=sp,
-                           t=state.t + dt, dx=dx)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Phase-plane shooting for decreasing and increasing semi-wave profiles.
+"""Phase-plane shooting for semi-waves, fronts and compact-profile halves.
 
 A decreasing semi-wave at speed c is a solution of
 
@@ -6,8 +6,11 @@ A decreasing semi-wave at speed c is a solution of
 
 strictly decreasing. In the phase plane (phi, Phi = phi') it is the branch
 of the unstable manifold of the saddle (1, 0) that reaches phi = 0 with
-Phi < 0. Shots are launched from the linearized manifold at distance
-delta = 1e-6 and classified by terminal events:
+Phi < 0. Every shot integrates this equation forward in z from one of two
+launches, keyed by `apex`: None for the saddle, launched from its
+linearized manifold at distance delta = 1e-6, or sigma for a compact
+profile's apex (sigma, 0) (see compact_wave). The launch is the only
+difference; one rule classifies, caches, bisects and traps both:
 
 * crosses_zero: phi falls through 0 with genuinely negative slope;
 * converges_origin: the trajectory approaches (0, 0) without crossing;
@@ -21,13 +24,15 @@ tiny representability floor instead of a fixed threshold.
 Critical speeds and compact-wave window edges are bisected on shot tags
 inside [c_focus, 2 sqrt(K)], K = max f(u)/u, with c_focus = 2 sqrt(f'(0))
 for monostable f and 0 for bistable f: every shot crosses below c_focus
-and none from 2 sqrt(K) on (_last_crossing_speed). Neither end costs a
+and none from 2 sqrt(K) on (_critical_speed_cached). Neither end costs a
 shot, every bisected speed is accurate to tol, and KPP-type terms,
 f(u) <= f'(0) u, get c* = 2 sqrt(f'(0)) exactly (linear determinacy).
-Above the node speed 2 sqrt(f'(0)) a monostable tag shot carries the node
-trap (_node_trap): it stops, with the tag the full-horizon shot would get,
-as soon as the orbit enters the wedge phi <= phi0, -c phi / 2 <= Phi <= 0,
-which it can leave only into the origin.
+Bisection shots run to z = 450, slope and profile shots to z = 400, and
+the bisection's shot tolerance follows tol. Above the node speed
+2 sqrt(f'(0)) a monostable shot carries the node trap (_node_trap): it
+stops, with the tag the full-horizon shot would get, as soon as the orbit
+enters the wedge phi <= phi0, -c phi / 2 <= Phi <= 0, which it can leave
+only into the origin; a shot launched inside it is not integrated at all.
 
 Increasing semi-waves (psi(0) = 0, psi(+inf) = 1, psi' > 0) are exact
 mirror images: psi(z; c) for g equals phi(-z; -c), so all increasing-side
@@ -48,16 +53,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidReaction, NoSemiWave
+from .errors import Infeasible, InvalidReaction, NoSemiWave
 from .ode_core import bisect_predicate, find_root_monotone, integrate
-from .reaction import ReactionSpec, derivative_at, evaluate
+from .reaction import ReactionSpec, derivative_at, evaluate, primitive_at
 
 LAUNCH_DELTA = 1e-6       # offset along the unstable manifold of (1, 0)
 SLOPE_FLOOR = 1e-280      # smallest slope still counted as a real crossing
 STALL_MIN_PHI = 1e-6      # Phi = 0 above this phi is a stall, below it a convergence
 STOP_SPEED_EPS = 1e-13    # |Phi| floor of the interior-capture event
 STOP_PHI_FLOOR = 1e-2     # capture requires phi above this, so origin approaches stay silent
-Z_CAP_TAG = 450.0         # fixed horizon for critical-speed tag shots
+Z_CAP_TAG = 450.0         # horizon for bisection tag shots
 Z_CAP_SLOPE = 400.0       # horizon for slope and profile shots
 TAG_REL_TOL = 1e-7
 SLOPE_REL_TOL = 1e-12
@@ -82,7 +87,24 @@ class TrajectoryOutcome:
     dphi_stop: float
 
 
-def _launch_state(f: ReactionSpec, c: float) -> tuple:
+def _check_apex(f: ReactionSpec, sigma: float) -> None:
+    if not 0.0 < sigma < 1.0:
+        raise Infeasible("apex height must lie in (0, 1), got %g" % sigma)
+    if evaluate(f, sigma) <= 0.0:
+        raise Infeasible(
+            "apex height %g has f2(sigma) <= 0; the profile cannot bend down there" % sigma)
+    if primitive_at(f, sigma) <= 0.0:
+        raise Infeasible(
+            "apex energy F2(%g) = %g is not positive; no edge connection exists"
+            % (sigma, primitive_at(f, sigma)))
+
+
+def _launch_state(f: ReactionSpec, c: float, apex=None) -> tuple:
+    """The shot's start and the saddle's launch rate mu: a point of the
+    saddle's linearized unstable manifold, or (apex, 0) with mu None."""
+    if apex is not None:
+        _check_apex(f, apex)
+        return (apex, 0.0), None
     fp1 = derivative_at(f, 1.0)
     if fp1 >= 0.0:
         raise InvalidReaction("decreasing shots need f'(1) < 0, got %g" % fp1)
@@ -193,22 +215,44 @@ def _node_trap(f: ReactionSpec, c: float) -> tuple:
     return (trapped,)
 
 
+def _shot(f: ReactionSpec, c: float, z_max: float, rel_tol: float, apex=None,
+          dense: bool = False) -> tuple:
+    """One classified shot from the saddle (apex None) or from (apex, 0):
+    (outcome, trajectory), the trajectory None where the node trap holds the
+    launch state, which then converges to the origin without integration."""
+    y0, _ = _launch_state(f, c, apex)
+    trap = _node_trap(f, c)
+    if trap and trap[0](0.0, y0) >= 0.0:
+        return TrajectoryOutcome(CONVERGES, c, 0.0, y0[0], y0[1]), None
+    traj = _run_shot(f, c, y0, z_max, rel_tol, dense=dense, extra_events=trap)
+    return _classify(traj, c), traj
+
+
 def shoot_decreasing(f: ReactionSpec, c: float, z_max: float = Z_CAP_TAG,
-                     rel_tol: float = TAG_REL_TOL) -> TrajectoryOutcome:
-    """Launch one decreasing shot at speed c and classify its outcome.
+                     rel_tol: float = TAG_REL_TOL, apex=None) -> TrajectoryOutcome:
+    """Classify one shot at speed c, launched from the saddle or from (apex, 0).
 
     A monostable shot past the node speed stops early once _node_trap shows
     it cannot cross; the tag is the one the full-horizon shot would get.
     """
-    y0, _ = _launch_state(f, c)
-    return _classify(_run_shot(f, c, y0, z_max, rel_tol,
-                               extra_events=_node_trap(f, c)), c)
+    return _shot(f, c, z_max, rel_tol, apex)[0]
 
 
 @functools.lru_cache(maxsize=8192)
-def _slope_cached(f: ReactionSpec, c: float, rel_tol: float) -> TrajectoryOutcome:
+def _slope_cached(f: ReactionSpec, apex, c: float, rel_tol: float) -> TrajectoryOutcome:
     # the outcome, not the slope: a shot that fails to cross is cached too
-    return shoot_decreasing(f, c, z_max=Z_CAP_SLOPE, rel_tol=rel_tol)
+    return shoot_decreasing(f, c, Z_CAP_SLOPE, rel_tol, apex)
+
+
+def _edge_slope(f: ReactionSpec, apex, c: float, rel_tol: float) -> float:
+    """Slope where the shot from the saddle (apex None) or from (apex, 0) at
+    speed c falls through phi = 0; raises NoSemiWave if it does not."""
+    res = _slope_cached(f, apex, float(c), float(rel_tol))
+    if res.tag != CROSSES:
+        what = ("decreasing semi-wave" if apex is None
+                else "edge connection from the apex %g" % apex)
+        raise NoSemiWave("no %s at c = %g (shot %s)" % (what, c, res.tag))
+    return res.dphi_stop
 
 
 def semiwave_slope(f: ReactionSpec, c: float, rel_tol: float = SLOPE_REL_TOL) -> float:
@@ -217,10 +261,7 @@ def semiwave_slope(f: ReactionSpec, c: float, rel_tol: float = SLOPE_REL_TOL) ->
     Raises NoSemiWave when the shot does not cross (c at or above the
     critical speed, where the connection ceases to exist).
     """
-    res = _slope_cached(f, float(c), float(rel_tol))
-    if res.tag != CROSSES:
-        raise NoSemiWave("no decreasing semi-wave at c = %g (shot %s)" % (c, res.tag))
-    return res.dphi_stop
+    return _edge_slope(f, None, c, rel_tol)
 
 
 def semiwave_slope_increasing(g: ReactionSpec, c: float,
@@ -246,47 +287,44 @@ def _sector_growth(f: ReactionSpec) -> float:
     return max(float(g(u)) for u in points)
 
 
-def _last_crossing_speed(f: ReactionSpec, shot, tol: float) -> float:
-    """The speed where shot(c) stops crossing, bisected on [c_focus, 2 sqrt(K)].
+@functools.lru_cache(maxsize=256)
+def _critical_speed_cached(f: ReactionSpec, apex, tol: float) -> float:
+    """The speed where the shot from the saddle (apex None) or from
+    (apex, 0) stops crossing, bisected on [c_focus, 2 sqrt(K)].
 
-    shot(c) is a saddle or apex shot of f at speed c. For monostable f and
-    0 <= c < c_focus = 2 sqrt(f'(0)) the energy Phi^2/2 + F(phi) falls along
-    the orbit and f has no zero in (0, 1), so an orbit that never crossed
-    would converge to the origin; the origin is a focus there, so it would
-    spiral, and it crosses. For bistable f, c_focus = 0, where positive
-    mass or apex energy makes the shot cross. From 2 sqrt(K) on, the sector
-    trap (_sector_growth) holds. Neither end costs a shot, and KPP-type
-    terms (c_focus = 2 sqrt(K)) get 2 sqrt(K) exactly with no bisection.
+    For monostable f and 0 <= c < c_focus = 2 sqrt(f'(0)) the energy
+    Phi^2/2 + F(phi) falls along the orbit and f has no zero in (0, 1), so
+    an orbit that never crossed would converge to the origin; the origin is
+    a focus there, so it would spiral, and it crosses. For bistable f,
+    c_focus = 0, where positive mass or apex energy makes the shot cross.
+    From 2 sqrt(K) on, the sector trap (_sector_growth) holds. Neither end
+    costs a shot, and KPP-type terms (c_focus = 2 sqrt(K)) get 2 sqrt(K)
+    exactly with no bisection.
     """
     c_focus = 2.0 * math.sqrt(derivative_at(f, 0.0)) if f.kind == "monostable" else 0.0
     trap = 2.0 * math.sqrt(_sector_growth(f))
     if c_focus >= trap:
         return trap
-
-    def crosses(c):
-        return c <= c_focus or (c < trap and shot(c).tag == CROSSES)
-
-    return bisect_predicate(crosses, c_focus, trap, tol=tol)
-
-
-@functools.lru_cache(maxsize=256)
-def _critical_speed_cached(f: ReactionSpec, tol: float) -> float:
     # the speed where the tag flips is only as sharp as the shots behind it,
     # so tighter speed requests get proportionally tighter integrations
     shot_rel = min(TAG_REL_TOL, max(10.0 * tol, 1e-13))
-    return _last_crossing_speed(
-        f, lambda c: shoot_decreasing(f, c, rel_tol=shot_rel), tol)
+
+    def crosses(c):
+        return c <= c_focus or (c < trap and shoot_decreasing(
+            f, c, rel_tol=shot_rel, apex=apex).tag == CROSSES)
+
+    return bisect_predicate(crosses, c_focus, trap, tol=tol)
 
 
 def critical_speed_decreasing(f: ReactionSpec, tol: float = 1e-8) -> float:
     """Largest speed c* admitting a decreasing semi-wave (bisection on shot tags).
 
     Crossing holds for c < c* and fails for c > c*. The bisection runs on
-    [c_focus, 2 sqrt(K)] (see _last_crossing_speed), so every c* is accurate
-    to about tol, a linearly determinate one at 2 sqrt(f'(0)) included, and
-    KPP-type terms get 2 sqrt(f'(0)) exactly with no shot.
+    [c_focus, 2 sqrt(K)] (see _critical_speed_cached), so every c* is
+    accurate to about tol, a linearly determinate one at 2 sqrt(f'(0))
+    included, and KPP-type terms get 2 sqrt(f'(0)) exactly with no shot.
     """
-    return _critical_speed_cached(f, float(tol))
+    return _critical_speed_cached(f, None, float(tol))
 
 
 def critical_speed_increasing(g: ReactionSpec, tol: float = 1e-8) -> float:

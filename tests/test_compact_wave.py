@@ -125,8 +125,9 @@ def test_speed_outside_window_is_infeasible(logistic):
         compact_wave.compact_profile(logistic, 0.5, 2.5)
 
 
-def test_failed_edge_shot_is_cached(logistic, monkeypatch):
-    # past the window edge right_slope raises every time, but shoots only once
+def test_failed_edge_shot_is_cached(cubic25, monkeypatch):
+    # past the window edge right_slope raises every time, but shoots only once;
+    # a bistable edge has no node trap, so the shot must run
     calls = []
     real = phase_plane.integrate
 
@@ -135,11 +136,27 @@ def test_failed_edge_shot_is_cached(logistic, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(phase_plane, "integrate", counted)
-    compact_wave._right_slope_cached.cache_clear()
+    phase_plane._slope_cached.cache_clear()
     for _ in range(2):
         with pytest.raises(NoSemiWave):
-            compact_wave.right_slope(logistic, 0.5, 2.5)
+            compact_wave.right_slope(cubic25, 0.5, 0.2)
     assert len(calls) == 1
+
+
+def test_window_edge_follows_tol(cubic25):
+    # the edge's shots are as sharp as tol asks: at tol 1e-12 it agrees with
+    # a bisection on 1e-13 shots, where 1e-7 shots leave it 1e-8 off
+    def crosses(c):
+        traj = phase_plane._run_shot(cubic25, c, (0.9, 0.0), phase_plane.Z_CAP_TAG, 1e-13)
+        return phase_plane._classify(traj, c).tag == "crosses_zero"
+
+    edge = compact_wave.speed_window(cubic25, 0.9, tol=1e-12).c_star_r
+    lo, hi = edge - 1e-6, edge + 1e-6
+    assert crosses(lo) and not crosses(hi)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
+    assert abs(edge - lo) <= 1e-11
 
 
 def test_speed_past_the_sector_is_infeasible_without_a_shot(cubic25, monkeypatch):
@@ -159,7 +176,6 @@ def test_logistic_window_needs_no_shot(logistic, monkeypatch):
     # KPP type: the bracket [2 sqrt(f'(0)), 2 sqrt(K)] is a single point
     calls = []
     monkeypatch.setattr(phase_plane, "integrate", lambda *a, **k: calls.append(1))
-    compact_wave._right_edge_cached.cache_clear()
     phase_plane._critical_speed_cached.cache_clear()
     assert compact_wave.speed_window(logistic, 0.5).c_star_r == 2.0
     assert calls == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_monostable
+from conftest import make_bistable, make_monostable
 from freewave import compact_wave, matching, phase_plane, reaction
 from freewave.errors import Infeasible
 from freewave.reaction import primitive_at
@@ -40,6 +40,22 @@ def test_matching_function_increasing(logistic):
     hat = matching.hat_c_f(logistic, 1.0)
     grid = np.linspace(lo + 1e-3, hat - 1e-3, 7)
     vals = [matching.D_two(c, 1.0, 0.7, logistic, logistic) for c in grid]
+    assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
+       st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+def test_matching_function_increasing_property(seed, f_bistable, g_bistable,
+                                               alpha, beta):
+    # D(c) = alpha phi'(0;c) + beta psi'(0;c) + c rises strictly across the
+    # admissible interval (c*_g, c*_f), for any pair of reaction types
+    rng = np.random.default_rng(seed)
+    f, g = ((make_bistable if bistable else make_monostable)(rng)
+            for bistable in (f_bistable, g_bistable))
+    lo = phase_plane.critical_speed_increasing(g)
+    hi = phase_plane.critical_speed_decreasing(f)
+    vals = [matching.D_two(c, alpha, beta, f, g) for c in np.linspace(lo, hi, 9)[1:-1]]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 

@@ -21,21 +21,29 @@ def test_step_rejects_large_dt(moving_wave):
     # diffusion is implicit, so only the advection CFL |s'| dt/dx <= 1 binds
     state = pde_verify.initial_state(moving_wave, L=20.0, N=200)
     f, g = moving_wave.f, moving_wave.g
-    cfl_dt = state.dx / abs(state.speed)
+    u, v, dx = state.u.copy(), state.v.copy(), state.dx
+    cfl_dt = dx / abs(state.speed)
+    dt = 1.01 * cfl_dt
     with pytest.raises(StepError):
-        pde_verify.step(state, 1.01 * cfl_dt, f, g, 1.0, 0.5)
-    new = pde_verify.step(state, 0.5 * cfl_dt, f, g, 1.0, 0.5)
-    assert new.t == pytest.approx(0.5 * cfl_dt, rel=1e-15)
+        pde_verify._advance(u, v, dx, dt, pde_verify._factor(dx, dt, u.size - 2),
+                            f, g, 1.0, 0.5)
+    assert np.array_equal(u, state.u) and np.array_equal(v, state.v)
+    dt = 0.5 * cfl_dt
+    sp = pde_verify._advance(u, v, dx, dt, pde_verify._factor(dx, dt, u.size - 2),
+                             f, g, 1.0, 0.5)
+    assert sp == state.speed
 
 
 def test_one_step_keeps_profile_nearly_fixed(symmetric_wave):
     state = pde_verify.initial_state(symmetric_wave, L=20.0, N=1000)
     assert state.dx == pytest.approx(0.02, abs=1e-12)
-    new = pde_verify.step(state, 1e-4, symmetric_wave.f, symmetric_wave.g, 1.0, 1.0)
-    assert np.max(np.abs(new.u - state.u)) < 1e-4
-    assert np.max(np.abs(new.v - state.v)) < 1e-4
-    assert new.t == pytest.approx(state.t + 1e-4, abs=1e-15)
-    assert new.s == pytest.approx(state.s + 1e-4 * new.speed, rel=1e-6)
+    u, v = state.u.copy(), state.v.copy()
+    sp = pde_verify._advance(u, v, state.dx, 1e-4,
+                             pde_verify._factor(state.dx, 1e-4, u.size - 2),
+                             symmetric_wave.f, symmetric_wave.g, 1.0, 1.0)
+    assert np.max(np.abs(u - state.u)) < 1e-4
+    assert np.max(np.abs(v - state.v)) < 1e-4
+    assert sp == state.speed
 
 
 def test_far_field_precondition(symmetric_wave):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_bistable, make_monostable
-from freewave import phase_plane, reaction
+from freewave import compact_wave, phase_plane, reaction
 from freewave.errors import InvalidReaction, NoSemiWave
 from freewave.reaction import primitive_at
 
@@ -98,21 +98,43 @@ def _pushed(a, nu):
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(st.floats(0.3, 2.0), st.floats(2.5, 8.0), st.floats(0.01, 0.99),
-       st.floats(1e-7, 1e-6))
-def test_node_trap_keeps_the_horizon_tag(a, nu, fraction, offset):
+       st.floats(1e-7, 1e-6), st.floats(0.05, 0.95))
+def test_node_trap_keeps_the_horizon_tag(a, nu, fraction, offset, sigma):
     # the trapped tag shot must tag every speed past the node speed as the
-    # full-horizon shot does, crossing or not, right up against c*
+    # full-horizon shot does, crossing or not, right up against c*, and so
+    # must an apex shot, also one launched inside the trap's wedge
     f, c_star = _pushed(a, nu)
     lo = 2.0 * math.sqrt(a)
     hi = 2.0 * math.sqrt(phase_plane._sector_growth(f))
+    c_mid = lo + fraction * (hi - lo)
     tags = []
-    for c in (lo + fraction * (hi - lo), c_star - offset, c_star + offset):
-        y0, _ = phase_plane._launch_state(f, c)
+    for c, apex in ((c_mid, None), (c_star - offset, None), (c_star + offset, None),
+                    (c_mid, sigma)):
+        y0, _ = phase_plane._launch_state(f, c, apex)
         full = phase_plane._run_shot(f, c, y0, phase_plane.Z_CAP_TAG,
                                      phase_plane.TAG_REL_TOL)
-        tags.append(phase_plane.shoot_decreasing(f, c).tag)
+        tags.append(phase_plane.shoot_decreasing(f, c, apex=apex).tag)
         assert tags[-1] == phase_plane._classify(full, c).tag
-    assert tags[1:] == ["crosses_zero", "converges_origin"]
+    assert tags[1:3] == ["crosses_zero", "converges_origin"]
+
+
+def test_trapped_launch_costs_no_shot(logistic, monkeypatch):
+    # from 2 sqrt(K) on, the saddle launch and every apex of a monostable
+    # term lie inside the node trap's wedge: no semi-wave, no integration
+    kpp = reaction.polynomial((0.0, 4.0, -4.0))
+    calls = []
+    monkeypatch.setattr(phase_plane, "integrate", lambda *a, **k: calls.append(1))
+    phase_plane._slope_cached.cache_clear()
+    with pytest.raises(NoSemiWave):
+        compact_wave.right_slope(logistic, 0.5, 2.5)
+    with pytest.raises(NoSemiWave):
+        phase_plane.semiwave_slope(kpp, 4.5)
+    assert calls == []
+    monkeypatch.undo()
+    for f, c, apex in ((logistic, 2.5, 0.5), (kpp, 4.5, None)):
+        y0, _ = phase_plane._launch_state(f, c, apex)
+        full = phase_plane._run_shot(f, c, y0, phase_plane.Z_CAP_TAG, phase_plane.TAG_REL_TOL)
+        assert phase_plane._classify(full, c).tag == "converges_origin"
 
 
 def test_pushed_speed_step_budget(monkeypatch):
