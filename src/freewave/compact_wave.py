@@ -28,13 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import Infeasible
 from .phase_plane import (CROSSES, SLOPE_REL_TOL, Z_CAP_SLOPE, _check_apex,
                           _critical_speed_cached, _edge_slope, _sector_growth,
                           _shot, critical_speed_increasing)
-from .reaction import ReactionSpec, evaluate, primitive_at
+from .reaction import ReactionSpec, primitive_at
 
 
 def left_slope(f2: ReactionSpec, sigma: float, c: float,
@@ -148,29 +147,3 @@ def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
                        apex=s_l, slope_left=-res_l.dphi_stop,
                        slope_right=res_r.dphi_stop)
 
-
-def width_energy_quadrature(f2: ReactionSpec, sigma: float) -> float:
-    """Width of the c = 0 profile by the first-integral quadrature.
-
-    At c = 0 the energy p^2/2 + F2(u) is conserved, so the half-width is
-    int_0^sigma du / sqrt(2 (F2(sigma) - F2(u))); the substitution
-    u = sigma - t^2 removes the apex singularity.
-    """
-    _check_apex(f2, sigma)
-    F_sig = primitive_at(f2, sigma)
-
-    def integrand(t):
-        gap = F_sig - primitive_at(f2, sigma - t * t)
-        if gap <= 0.0:
-            # only reachable at t = 0 through rounding; use the limit value
-            return 2.0 / math.sqrt(2.0 * evaluate(f2, sigma))
-        return 2.0 * t / math.sqrt(2.0 * gap)
-
-    half, _ = quad(integrand, 0.0, math.sqrt(sigma), limit=200)
-    return 2.0 * half
-
-
-def edge_slope_energy(f2: ReactionSpec, sigma: float) -> float:
-    """Left edge slope at c = 0 from the first integral: sqrt(2 F2(sigma))."""
-    _check_apex(f2, sigma)
-    return math.sqrt(2.0 * primitive_at(f2, sigma))

@@ -1,33 +1,28 @@
 """Free-boundary matching: assembling two- and three-species traveling waves.
 
-A two-species wave couples a decreasing semi-wave phi (reaction f, left of
-the single free boundary) with an increasing one psi (reaction g, right of
-it), both moving at a common speed c fixed by the boundary condition
+Every free boundary obeys one condition. The decreasing semi-wave phi of
+an outer species (reaction f, coefficient a) meets a partner of slope
+p(c) > 0 and coefficient b, and the boundary moves at the speed c with
 
-    c = -alpha phi'(0; c) - beta psi'(0; c),
+    a phi'(0; c) + b p(c) + c = 0.
 
-i.e. by the root of the matching function
+For two species the partner is the increasing semi-wave psi of g, and c is
+the root of D(c) = alpha phi'(0; c) + beta psi'(0; c) + c, strictly
+increasing on the admissible interval (c*_g, c*_f). For three species a
+compact middle profile of height sigma sits between two boundaries moving
+at one speed, each with an edge slope of the middle as its partner; the
+admissible speeds depend on how the single-sided roots hat_c1 > 0 and
+hat_c3 < 0 sit relative to the compact speed window (c*_l, c*_r), which is
+the case classification.
 
-    D(c) = alpha phi'(0; c) + beta psi'(0; c) + c,
-
-which is strictly increasing on the admissible interval (c*_g, c*_f). The
-coefficient maps beta(c) and alpha(c) invert the same relation in closed
-form, since D is affine in each coefficient.
-
-A three-species wave adds a compactly supported middle profile of height
-sigma between two boundaries moving at the same speed; each boundary
-yields its own matching function (D_l with coefficient beta_l on the
-middle's left edge slope, D_r with beta_r on its right edge slope), and
-for every admissible speed there is a unique positive coefficient pair.
-The admissible speed interval is governed by how the single-sided roots
-hat_c1 > 0 and hat_c3 < 0 sit relative to the compact speed window
-(c*_l, c*_r), which is the case classification.
-
-Each boundary is written once, as the left boundary of the three-species
-wave: an outer decreasing semi-wave paired with a partner slope (psi' for
-two species, omega_l for three). The right boundary and the alpha side of
-the two-species wave are the same pairing at -c with the outer species
-swapped, so every mirror quantity is obtained by that reflection.
+A Boundary is one such condition, seen from the frame where its outer
+species lies left. It gives the four quantities of each boundary: the
+balanced coefficient at speed 0 (tilde beta), the coefficient map b(c)
+(beta(c)), the threshold at the partner's upper speed (beta_0) and the
+speed for a coefficient (C(beta)). beta_boundary, alpha_boundary,
+left_boundary and right_boundary build them; the alpha and right
+boundaries are the same pairing at -c with the outer species swapped, so
+every mirror quantity is obtained by that reflection.
 """
 
 from __future__ import annotations
@@ -63,16 +58,16 @@ def _or_zero(slope, *args) -> float:
 
 
 @dataclass(frozen=True)
-class _Side:
-    """One free boundary, seen from the frame where its outer species lies left.
+class Boundary:
+    """One free boundary a phi'(0; c) + b p(c) + c = 0, in the frame where
+    its outer species lies left.
 
-    The outer decreasing semi-wave of f with positive coefficient a (named
-    outer in the caller's terms) meets a partner of slope p(c) > 0, defined
-    for c in interval() = (lo, hi), with first-integral energy
-    E = p(0)^2 / 2; the boundary moves at c when
-    a phi'(0; c) + b p(c) + c = 0. A boundary whose outer species lies right
-    is this pairing at -c: sign = -1 maps speeds back to the caller's
-    frame, and name labels the caller's side in error messages.
+    f and a are the outer species' reaction and coefficient (outer names a
+    in the caller's terms); the partner slope p(c) > 0 exists for c in
+    interval() = (lo, hi) and has first-integral energy E = p(0)^2 / 2. A
+    boundary whose outer species lies right is this pairing at -c: sign = -1
+    maps speeds back to the caller's frame, and name labels the caller's
+    side in error messages.
     """
 
     f: ReactionSpec
@@ -88,99 +83,121 @@ class _Side:
         if not self.a > 0.0:
             raise Infeasible("%s must be positive, got %g" % (self.outer, self.a))
 
-    def frame(self, lo: float, hi: float) -> tuple:
+    def _frame(self, lo: float, hi: float) -> tuple:
         """The speed interval (lo, hi) of this frame, in the caller's frame."""
         return (lo, hi) if self.sign > 0.0 else (-hi, -lo)
 
+    def _pairing(self, x: float) -> float:
+        """The partner coefficient b making x, in this frame, the boundary speed."""
+        return -(self.a * semiwave_slope(self.f, x) + x) / self.partner(x)
 
-def _two_side(f: ReactionSpec, g: ReactionSpec, a: float, outer: str, name: str,
-              sign: float = 1.0) -> _Side:
+    def balanced(self) -> float:
+        """The coefficient giving speed 0, from the first integrals: a sqrt(F(1) / E)."""
+        return self.a * math.sqrt(primitive_at(self.f, 1.0) / self.energy)
+
+    def domain(self) -> tuple:
+        """(lo, min(hat_c, hi)) in the caller's frame: where the partner exists
+        and the coefficient map is positive."""
+        lo, hi = self.interval()
+        return self._frame(lo, min(hat_c_f(self.f, self.a), hi))
+
+    def coefficient(self, c: float) -> float:
+        """The partner coefficient b > 0 making c the boundary speed; strictly
+        decreasing in c on domain() when sign > 0, increasing when sign < 0."""
+        lo, hi = self.domain()
+        if not lo < c < hi:
+            raise Infeasible("speed %g outside the %s coefficient domain (%g, %g)"
+                             % (c, self.name, lo, hi))
+        return self._pairing(self.sign * c)
+
+    def threshold(self) -> float:
+        """The coefficient at the partner's upper speed hi, defined when hat_c > hi;
+        below it the matching function has no root inside the partner's interval."""
+        hat, hi = hat_c_f(self.f, self.a), self.interval()[1]
+        if hat <= hi:
+            raise Infeasible("the %s boundary balances inside the window (hat_c = %g, "
+                             "edge %g); its threshold is undefined"
+                             % (self.name, self.sign * hat, self.sign * hi))
+        return self._pairing(hi)
+
+    def speed(self, b: float, tol: float = 1e-10) -> float:
+        """The speed for partner coefficient b, inverting coefficient(): the root
+        of a phi'(0; c) + b p(c) + c on (lo, min(c*_f, hi)), in the caller's frame."""
+        if b <= 0.0:
+            raise Infeasible("%s coefficient must be positive, got %g" % (self.name, b))
+
+        def objective(x):
+            return (self.a * _or_zero(semiwave_slope, self.f, x)
+                    + b * _or_zero(self.partner, x) + x)
+
+        # c = 0 splits the bracket; with balanced coefficients the reflected
+        # slopes cancel exactly there, so symmetric data gives exactly 0
+        f_zero = objective(0.0)
+        if f_zero == 0.0:
+            return 0.0
+        lo, hi = self.interval()
+        if f_zero > 0.0:
+            # the partner's slope vanishes at its critical speed lo
+            f_lo = self.a * semiwave_slope(self.f, lo) + lo
+            root = find_root_monotone(objective, lo, 0.0, tol=tol, f_lo=f_lo, f_hi=f_zero)
+        else:
+            c_star = critical_speed_decreasing(self.f)
+            if hi < c_star:
+                top, f_top = hi, objective(hi)
+            else:
+                # the outer slope vanishes at c*_f
+                top, f_top = c_star, b * _or_zero(self.partner, c_star) + c_star
+            if f_top < 0.0:
+                raise Infeasible(
+                    "%s coefficient %g below its threshold; no admissible speed in the "
+                    "window (%g, %g)" % ((self.name, b) + self._frame(lo, hi)))
+            root = find_root_monotone(objective, 0.0, top, tol=tol, f_lo=f_zero, f_hi=f_top)
+        return self.sign * root + 0.0   # + 0.0 turns a reflected -0.0 into 0.0
+
+
+def _two(f: ReactionSpec, g: ReactionSpec, a: float, outer: str, name: str,
+         sign: float = 1.0) -> Boundary:
     """f left of the boundary, the increasing semi-wave of g right of it."""
-    return _Side(f, a, outer, functools.partial(semiwave_slope_increasing, g),
-                 lambda: (critical_speed_increasing(g), math.inf),
-                 primitive_at(g, 1.0), name, sign)
+    return Boundary(f, a, outer, functools.partial(semiwave_slope_increasing, g),
+                    lambda: (critical_speed_increasing(g), math.inf),
+                    primitive_at(g, 1.0), name, sign)
 
 
-def _three_side(f: ReactionSpec, f2: ReactionSpec, a: float, sigma: float,
-                outer: str, name: str, sign: float = 1.0) -> _Side:
+def _three(f: ReactionSpec, f2: ReactionSpec, a: float, sigma: float, outer: str,
+           name: str, sign: float = 1.0) -> Boundary:
     """f left of the boundary, the compact middle profile of f2 right of it."""
     def window():
         win = speed_window(f2, sigma)
         return win.c_star_l, win.c_star_r
 
-    return _Side(f, a, outer, functools.partial(left_slope, f2, sigma), window,
-                 primitive_at(f2, sigma), name, sign)
+    return Boundary(f, a, outer, functools.partial(left_slope, f2, sigma), window,
+                    primitive_at(f2, sigma), name, sign)
 
 
-def _balanced(side: _Side) -> float:
-    """The coefficient giving speed 0, from the first integrals: a sqrt(F(1) / E)."""
-    return side.a * math.sqrt(primitive_at(side.f, 1.0) / side.energy)
+def beta_boundary(f: ReactionSpec, g: ReactionSpec, alpha: float) -> Boundary:
+    """The two-species boundary solved for beta; beta(c) falls from infinity
+    at c*_g to 0 at hat_c_f, and balanced() = alpha sqrt(F(1)/G(1))."""
+    return _two(f, g, alpha, "alpha", "beta")
 
 
-def _domain(side: _Side) -> tuple:
-    """(lo, min(hat_c, hi)) in the caller's frame: where the partner exists
-    and the coefficient map is positive."""
-    lo, hi = side.interval()
-    return side.frame(lo, min(hat_c_f(side.f, side.a), hi))
+def alpha_boundary(f: ReactionSpec, g: ReactionSpec, beta: float) -> Boundary:
+    """The two-species boundary solved for alpha; alpha(c) rises on
+    (-hat_c_g, c*_f), and balanced() = beta sqrt(G(1)/F(1))."""
+    return _two(g, f, beta, "beta", "alpha", -1.0)
 
 
-def _pairing(side: _Side, x: float) -> float:
-    """The partner coefficient b making x, in this side's frame, the boundary speed."""
-    return -(side.a * semiwave_slope(side.f, x) + x) / side.partner(x)
+def left_boundary(f1: ReactionSpec, f2: ReactionSpec, alpha: float,
+                  sigma: float) -> Boundary:
+    """The three-species left boundary, solved for beta_l; beta_l(c) falls on
+    (c*_l, min(hat_c1, c*_r)), and threshold() is beta0_l (Case2 only)."""
+    return _three(f1, f2, alpha, sigma, "alpha", "left")
 
 
-def _coefficient(side: _Side, c: float) -> float:
-    """The partner coefficient b making c the boundary speed."""
-    lo, hi = _domain(side)
-    if not lo < c < hi:
-        raise Infeasible("speed %g outside the %s coefficient domain (%g, %g)"
-                         % (c, side.name, lo, hi))
-    return _pairing(side, side.sign * c)
-
-
-def _threshold(side: _Side) -> float:
-    """The coefficient at the partner's upper speed hi, defined when hat_c > hi;
-    below it the matching function has no root inside the partner's interval."""
-    hat, hi = hat_c_f(side.f, side.a), side.interval()[1]
-    if hat <= hi:
-        raise Infeasible("the %s boundary balances inside the window (hat_c = %g, "
-                         "edge %g); its threshold is undefined"
-                         % (side.name, side.sign * hat, side.sign * hi))
-    return _pairing(side, hi)
-
-
-def _speed(side: _Side, b: float, tol: float) -> float:
-    """Root of a phi'(0; c) + b p(c) + c on (lo, min(c*_f, hi)), in the caller's frame."""
-    if b <= 0.0:
-        raise Infeasible("%s coefficient must be positive, got %g" % (side.name, b))
-
-    def objective(x):
-        return (side.a * _or_zero(semiwave_slope, side.f, x)
-                + b * _or_zero(side.partner, x) + x)
-
-    # c = 0 splits the bracket; with balanced coefficients the reflected
-    # slopes cancel exactly there, so symmetric data gives exactly 0
-    f_zero = objective(0.0)
-    if f_zero == 0.0:
-        return 0.0
-    lo, hi = side.interval()
-    if f_zero > 0.0:
-        # the partner's slope vanishes at its critical speed lo
-        f_lo = side.a * semiwave_slope(side.f, lo) + lo
-        root = find_root_monotone(objective, lo, 0.0, tol=tol, f_lo=f_lo, f_hi=f_zero)
-    else:
-        c_star = critical_speed_decreasing(side.f)
-        if hi < c_star:
-            top, f_top = hi, objective(hi)
-        else:
-            # the outer slope vanishes at c*_f
-            top, f_top = c_star, b * _or_zero(side.partner, c_star) + c_star
-        if f_top < 0.0:
-            raise Infeasible(
-                "%s coefficient %g below its threshold; no admissible speed in the "
-                "window (%g, %g)" % ((side.name, b) + side.frame(lo, hi)))
-        root = find_root_monotone(objective, 0.0, top, tol=tol, f_lo=f_zero, f_hi=f_top)
-    return side.sign * root + 0.0   # + 0.0 turns a reflected -0.0 into 0.0
+def right_boundary(f2: ReactionSpec, f3: ReactionSpec, gamma: float,
+                   sigma: float) -> Boundary:
+    """The three-species right boundary, solved for beta_r; beta_r(c) rises on
+    (max(hat_c3, c*_l), c*_r), and threshold() is beta0_r (CaseII only)."""
+    return _three(f3, f2, gamma, sigma, "gamma", "right", -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +241,6 @@ def D_two(c: float, alpha: float, beta: float, f: ReactionSpec,
         raise Infeasible("speed %g outside the admissible interval: %s" % (c, exc)) from exc
 
 
-def tilde_beta(f: ReactionSpec, g: ReactionSpec, alpha: float) -> float:
-    """Coefficient threshold at which the matched speed is 0: alpha sqrt(F(1)/G(1))."""
-    return _balanced(_two_side(f, g, alpha, "alpha", "beta"))
-
-
-def tilde_alpha(f: ReactionSpec, g: ReactionSpec, beta: float) -> float:
-    """Dual threshold for the alpha coefficient: beta sqrt(G(1)/F(1))."""
-    return _balanced(_two_side(g, f, beta, "beta", "alpha", -1.0))
-
-
-def beta_of_c(f: ReactionSpec, g: ReactionSpec, alpha: float, c: float) -> float:
-    """The unique beta making c the matched speed: -(alpha phi'(0;c) + c)/psi'(0;c).
-
-    Positive and strictly decreasing on (c*_g, hat_c_f), vanishing at
-    hat_c_f and blowing up at c*_g.
-    """
-    return _coefficient(_two_side(f, g, alpha, "alpha", "beta"), c)
-
-
-def alpha_of_c(f: ReactionSpec, g: ReactionSpec, beta: float, c: float) -> float:
-    """The unique alpha making c the matched speed; increasing on (hat_c_g, c*_f)."""
-    return _coefficient(_two_side(g, f, beta, "beta", "alpha", -1.0), c)
-
-
 @dataclass(frozen=True)
 class TwoSpeciesWave:
     """Assembled two-species traveling wave with a single free boundary."""
@@ -272,24 +265,18 @@ def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float, beta: floa
     one critical speed, where D takes its limit with the vanishing slope
     set to 0.
     """
-    c = _speed(_two_side(f, g, alpha, "alpha", "beta"), beta, tol)
+    boundary = beta_boundary(f, g, alpha)
+    c = boundary.speed(beta, tol)
     left = semiwave_profile(f, c, far_tol=far_tol, dz=dz)
     right = semiwave_profile_increasing(g, c, far_tol=far_tol, dz=dz)
     residual = alpha * left.interface_slope + beta * right.interface_slope + c
     return TwoSpeciesWave(c=c, alpha=alpha, beta=beta, f=f, g=g,
                           left=left, right=right,
-                          tilde_beta=tilde_beta(f, g, alpha), residual=residual)
+                          tilde_beta=boundary.balanced(), residual=residual)
 
 
 # ---------------------------------------------------------------------------
 # three species
-
-
-def hat_c3(f3: ReactionSpec, gamma: float) -> float:
-    """Root of gamma psi3'(0;c) + c; negative, above -c*(f3), by reflection."""
-    if gamma <= 0.0:
-        raise Infeasible("gamma must be positive, got %g" % gamma)
-    return -hat_c_f(f3, gamma)
 
 
 @dataclass(frozen=True)
@@ -317,7 +304,10 @@ def case_classify(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
     """Classify the configuration and compute the admissible speed interval."""
     win = speed_window(f2, sigma)
     c1 = hat_c_f(f1, alpha)
-    c3 = hat_c3(f3, gamma)
+    if gamma <= 0.0:
+        raise Infeasible("gamma must be positive, got %g" % gamma)
+    # hat_c3, the root of gamma psi3'(0;c) + c, is hat_c_f of f3 reflected
+    c3 = -hat_c_f(f3, gamma)
     c_minus = max(c3, win.c_star_l)
     c_plus = min(c1, win.c_star_r)
     if not c_minus < c_plus:
@@ -330,73 +320,6 @@ def case_classify(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
         hat_c1=c1, hat_c3=c3,
         c_star_l=win.c_star_l, c_star_r=win.c_star_r,
         c_minus=c_minus, c_plus=c_plus)
-
-
-def tilde_beta_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float,
-                 sigma: float) -> float:
-    """Left coefficient threshold at zero speed: alpha sqrt(F1(1)/F2(sigma))."""
-    return _balanced(_three_side(f1, f2, alpha, sigma, "alpha", "left"))
-
-
-def tilde_beta_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float,
-                 sigma: float) -> float:
-    """Right coefficient threshold at zero speed: gamma sqrt(F3(1)/F2(sigma))."""
-    return _balanced(_three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0))
-
-
-def beta_l_of_c(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
-                c: float) -> float:
-    """Left coefficient map: -(alpha phi1'(0;c) + c) / omega_l(c).
-
-    Positive and strictly decreasing between the window's left edge and
-    hat_c1.
-    """
-    return _coefficient(_three_side(f1, f2, alpha, sigma, "alpha", "left"), c)
-
-
-def beta_r_of_c(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
-                c: float) -> float:
-    """Right coefficient map: -(gamma psi3'(0;c) + c) / omega_r(c).
-
-    Positive and strictly increasing between hat_c3 and the window's right
-    edge.
-    """
-    return _coefficient(_three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0), c)
-
-
-def beta0_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float) -> float:
-    """Threshold coefficient beta_l at the window's right edge (Case2 only).
-
-    Below it the left matching function has no root inside the window.
-    """
-    return _threshold(_three_side(f1, f2, alpha, sigma, "alpha", "left"))
-
-
-def beta0_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float) -> float:
-    """Threshold coefficient beta_r at the window's left edge (CaseII only)."""
-    return _threshold(_three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0))
-
-
-def C_l(f1: ReactionSpec, f2: ReactionSpec, alpha: float, sigma: float,
-        beta_l: float, tol: float = 1e-10) -> float:
-    """Speed solving the left matching condition for a given coefficient.
-
-    Inverse of beta_l_of_c: the unique root of
-    alpha phi1'(0;c) + beta_l omega_l(c) + c, strictly increasing in c.
-    In Case2 the root exists inside the window only for beta_l >= beta0_l.
-    """
-    return _speed(_three_side(f1, f2, alpha, sigma, "alpha", "left"), beta_l, tol)
-
-
-def C_r(f2: ReactionSpec, f3: ReactionSpec, gamma: float, sigma: float,
-        beta_r: float, tol: float = 1e-10) -> float:
-    """Speed solving the right matching condition for a given coefficient.
-
-    Inverse of beta_r_of_c; in CaseII the root exists inside the window
-    only for beta_r >= beta0_r.
-    """
-    side = _three_side(f3, f2, gamma, sigma, "gamma", "right", -1.0)
-    return _speed(side, beta_r, tol)
 
 
 @dataclass(frozen=True)
@@ -439,8 +362,9 @@ def solve_three_species(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
         raise Infeasible(
             "speed %g outside the admissible interval (%.8g, %.8g)"
             % (c, tag.c_minus, tag.c_plus))
-    b_l = beta_l_of_c(f1, f2, alpha, sigma, c)
-    b_r = beta_r_of_c(f2, f3, gamma, sigma, c)
+    edge_l = left_boundary(f1, f2, alpha, sigma)
+    edge_r = right_boundary(f2, f3, gamma, sigma)
+    b_l, b_r = edge_l.coefficient(c), edge_r.coefficient(c)
 
     left = semiwave_profile(f1, c, far_tol=far_tol, dz=dz)
     middle = compact_profile(f2, sigma, c, dz=dz)
@@ -450,9 +374,7 @@ def solve_three_species(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
     return ThreeSpeciesWave(
         c=c, alpha=alpha, gamma=gamma, beta_l=b_l, beta_r=b_r, sigma=sigma,
         f1=f1, f2=f2, f3=f3, left=left, middle=middle, right=right,
-        case_tag=tag,
-        tilde_beta_l=tilde_beta_l(f1, f2, alpha, sigma),
-        tilde_beta_r=tilde_beta_r(f2, f3, gamma, sigma),
+        case_tag=tag, tilde_beta_l=edge_l.balanced(), tilde_beta_r=edge_r.balanced(),
         residual_left=res_l, residual_right=res_r)
 
 
@@ -471,7 +393,8 @@ class DispersionCurve:
 
 
 def dispersion_curve(kind: str, params: dict, grid) -> DispersionCurve:
-    """Sample a coefficient map over a c-grid and verify its monotonicity.
+    """Sample the coefficient maps of a kind's boundaries over a c-grid and
+    verify their monotonicity.
 
     kind 'two_beta': params f, g, alpha; column beta, strictly decreasing.
     kind 'two_alpha': params f, g, beta; column alpha, strictly increasing.
@@ -483,30 +406,26 @@ def dispersion_curve(kind: str, params: dict, grid) -> DispersionCurve:
     if grid.size < 2 or not np.all(np.diff(grid) > 0.0):
         raise Infeasible("grid must be strictly increasing with at least 2 points")
 
-    if kind in ("two_beta", "two_alpha"):
-        f, g = params["f"], params["g"]
-        side = (_two_side(f, g, params["alpha"], "alpha", "beta")
-                if kind == "two_beta"
-                else _two_side(g, f, params["beta"], "beta", "alpha", -1.0))
-        endpoints = _domain(side)
-        _check_grid(grid, endpoints)
-        vals = np.array([_coefficient(side, c) for c in grid])
-        _check_monotone(vals, decreasing=side.sign > 0.0, label=side.name)
-        return DispersionCurve(kind, endpoints, grid, {side.name: vals})
-
-    if kind == "three":
-        f1, f2, f3 = params["f1"], params["f2"], params["f3"]
-        alpha, gamma, sigma = params["alpha"], params["gamma"], params["sigma"]
-        tag = case_classify(f1, f2, f3, alpha, gamma, sigma)
+    p = params
+    if kind == "two_beta":
+        boundaries = {"beta": beta_boundary(p["f"], p["g"], p["alpha"])}
+        endpoints = boundaries["beta"].domain()
+    elif kind == "two_alpha":
+        boundaries = {"alpha": alpha_boundary(p["f"], p["g"], p["beta"])}
+        endpoints = boundaries["alpha"].domain()
+    elif kind == "three":
+        tag = case_classify(p["f1"], p["f2"], p["f3"], p["alpha"], p["gamma"], p["sigma"])
+        boundaries = {"beta_l": left_boundary(p["f1"], p["f2"], p["alpha"], p["sigma"]),
+                      "beta_r": right_boundary(p["f2"], p["f3"], p["gamma"], p["sigma"])}
         endpoints = (tag.c_minus, tag.c_plus)
-        _check_grid(grid, endpoints)
-        bl = np.array([beta_l_of_c(f1, f2, alpha, sigma, c) for c in grid])
-        br = np.array([beta_r_of_c(f2, f3, gamma, sigma, c) for c in grid])
-        _check_monotone(bl, decreasing=True, label="beta_l")
-        _check_monotone(br, decreasing=False, label="beta_r")
-        return DispersionCurve(kind, endpoints, grid, {"beta_l": bl, "beta_r": br})
-
-    raise Infeasible("unknown dispersion kind %r" % (kind,))
+    else:
+        raise Infeasible("unknown dispersion kind %r" % (kind,))
+    _check_grid(grid, endpoints)
+    columns = {}
+    for label, boundary in boundaries.items():
+        columns[label] = np.array([boundary.coefficient(c) for c in grid])
+        _check_monotone(columns[label], decreasing=boundary.sign > 0.0, label=label)
+    return DispersionCurve(kind, endpoints, grid, columns)
 
 
 def _check_grid(grid, endpoints):

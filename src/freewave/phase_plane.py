@@ -27,12 +27,14 @@ for monostable f and 0 for bistable f: every shot crosses below c_focus
 and none from 2 sqrt(K) on (_critical_speed_cached). Neither end costs a
 shot, every bisected speed is accurate to tol, and KPP-type terms,
 f(u) <= f'(0) u, get c* = 2 sqrt(f'(0)) exactly (linear determinacy).
-Bisection shots run to z = 450, slope and profile shots to z = 400, and
-the bisection's shot tolerance follows tol. Above the node speed
-2 sqrt(f'(0)) a monostable shot carries the node trap (_node_trap): it
-stops, with the tag the full-horizon shot would get, as soon as the orbit
-enters the wedge phi <= phi0, -c phi / 2 <= Phi <= 0, which it can leave
-only into the origin; a shot launched inside it is not integrated at all.
+Bisection shots run to z = 450, slope and profile shots to z = 400 (a
+monostable profile past the node speed further, until its slow mode
+reaches the cut), and the bisection's shot tolerance follows tol. Above
+the node speed 2 sqrt(f'(0)) a monostable shot carries the node trap
+(_node_trap): it stops, with the tag the full-horizon shot would get, as
+soon as the orbit enters the wedge phi <= phi0, -c phi / 2 <= Phi <= 0,
+which it can leave only into the origin; a shot launched inside it is not
+integrated at all.
 
 Increasing semi-waves (psi(0) = 0, psi(+inf) = 1, psi' > 0) are exact
 mirror images: psi(z; c) for g equals phi(-z; -c), so all increasing-side
@@ -183,7 +185,13 @@ def _cut_shot(f: ReactionSpec, c: float, cut: float, rel_tol: float,
 
     tail.terminal, tail.direction = terminal, -1.0
     y0, mu = _launch_state(f, c)
-    return _run_shot(f, c, y0, Z_CAP_SLOPE, rel_tol, dense=dense,
+    z_max, fp0 = Z_CAP_SLOPE, derivative_at(f, 0.0)
+    if f.kind == "monostable" and c > 0.0 and c * c > 4.0 * fp0:
+        # past the node speed a front leaves the saddle at rate mu and decays
+        # at the slow rate lam, both about 1 / c: give it the room for both
+        lam = 0.5 * (c - math.sqrt(c * c - 4.0 * fp0))
+        z_max += math.log(1.0 / cut) / lam + math.log(1.0 / LAUNCH_DELTA) / mu
+    return _run_shot(f, c, y0, z_max, rel_tol, dense=dense,
                      extra_events=(tail,)), mu
 
 

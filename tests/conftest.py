@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from freewave import reaction
+from freewave.reaction import evaluate, primitive_at
 
 ACCEPTANCE_LINES = []
 
@@ -52,3 +56,23 @@ def make_bistable(rng):
     theta = rng.uniform(0.08, 0.42)
     base = reaction.cubic_bistable(theta)
     return reaction.polynomial([k * c for c in base.coeffs])
+
+
+def width_energy_quadrature(f2, sigma):
+    """Width of the c = 0 compact profile by the first-integral quadrature.
+
+    At c = 0 the energy p^2/2 + F2(u) is conserved, so the half-width is
+    int_0^sigma du / sqrt(2 (F2(sigma) - F2(u))); the substitution
+    u = sigma - t^2 removes the apex singularity.
+    """
+    F_sig = primitive_at(f2, sigma)
+
+    def integrand(t):
+        gap = F_sig - primitive_at(f2, sigma - t * t)
+        if gap <= 0.0:
+            # only reachable at t = 0 through rounding; use the limit value
+            return 2.0 / math.sqrt(2.0 * evaluate(f2, sigma))
+        return 2.0 * t / math.sqrt(2.0 * gap)
+
+    half, _ = quad(integrand, 0.0, math.sqrt(sigma), limit=200)
+    return 2.0 * half

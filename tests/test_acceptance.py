@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_monostable
+from conftest import make_monostable, width_energy_quadrature
 from freewave import (cli, compact_wave, matching, pde_verify, phase_plane,
                       reaction)
 from freewave.reaction import primitive_at
@@ -71,12 +71,13 @@ def test_criterion_3_zero_speed_energy_identities(acceptance, rng, logistic):
 
 def test_criterion_4_two_species_dispersion(acceptance, logistic):
     alpha = 1.0
-    bt = matching.tilde_beta(logistic, logistic, alpha)
-    b0 = matching.beta_of_c(logistic, logistic, alpha, 0.0)
+    boundary = matching.beta_boundary(logistic, logistic, alpha)
+    bt = boundary.balanced()
+    b0 = boundary.coefficient(0.0)
     c_g = phase_plane.critical_speed_increasing(logistic)
     hat = matching.hat_c_f(logistic, alpha)
     grid = np.linspace(c_g + 1e-3, hat - 1e-3, 50)
-    betas = [matching.beta_of_c(logistic, logistic, alpha, c) for c in grid]
+    betas = [boundary.coefficient(c) for c in grid]
     decreasing = all(a > b for a, b in zip(betas, betas[1:]))
     tails = betas[-1] < 0.05 * bt and betas[0] > 20.0 * bt
     c_signs = [matching.solve_two_species(logistic, logistic, alpha, b).c
@@ -100,7 +101,7 @@ def test_criterion_5_compact_window_and_width(acceptance, logistic, cubic25):
         ordered = ordered and (win.c_star_l < win.L_sigma < 0.0
                                < win.R_sigma < win.c_star_r)
         wave = compact_wave.compact_profile(f2, sigma, 0.0)
-        quad = compact_wave.width_energy_quadrature(f2, sigma)
+        quad = width_energy_quadrature(f2, sigma)
         worst_width = max(worst_width, abs(wave.width - quad))
     ok = ordered and worst_width <= 1e-4
     acceptance(5, ok, "window ordering %s over %d cases, width err %.2e (tol 1e-4)"
@@ -113,24 +114,24 @@ def test_criterion_6_three_species_at_given_speed(acceptance, cubic25, logistic)
     sigma = 0.5
     tag = matching.case_classify(cubic25, logistic, cubic25, alpha, gamma, sigma)
     interval_ok = tag.c_minus < 0.0 < tag.c_plus
-    btl = matching.tilde_beta_l(cubic25, logistic, alpha, sigma)
-    btr = matching.tilde_beta_r(logistic, cubic25, gamma, sigma)
-    bl0 = matching.beta_l_of_c(cubic25, logistic, alpha, sigma, 0.0)
-    br0 = matching.beta_r_of_c(logistic, cubic25, gamma, sigma, 0.0)
+    left = matching.left_boundary(cubic25, logistic, alpha, sigma)
+    right = matching.right_boundary(logistic, cubic25, gamma, sigma)
+    btl = left.balanced()
+    btr = right.balanced()
+    bl0 = left.coefficient(0.0)
+    br0 = right.coefficient(0.0)
     balanced_err = max(abs(bl0 - btl), abs(br0 - btr), abs(btl - 0.7071068 * alpha))
     grid = np.linspace(tag.c_minus + 1e-3, tag.c_plus - 1e-3, 30)
-    bl = [matching.beta_l_of_c(cubic25, logistic, alpha, sigma, c) for c in grid]
-    br = [matching.beta_r_of_c(logistic, cubic25, gamma, sigma, c) for c in grid]
+    bl = [left.coefficient(c) for c in grid]
+    br = [right.coefficient(c) for c in grid]
     monotone = (all(a > b for a, b in zip(bl, bl[1:]))
                 and all(a < b for a, b in zip(br, br[1:])))
     inverse_err = 0.0
     for c0 in (-0.06, 0.08):
-        blc = matching.beta_l_of_c(cubic25, logistic, alpha, sigma, c0)
-        inverse_err = max(inverse_err, abs(
-            matching.C_l(cubic25, logistic, alpha, sigma, blc) - c0))
-    brc = matching.beta_r_of_c(logistic, cubic25, gamma, sigma, 0.08)
-    inverse_err = max(inverse_err, abs(
-        matching.C_r(logistic, cubic25, gamma, sigma, brc) - 0.08))
+        blc = left.coefficient(c0)
+        inverse_err = max(inverse_err, abs(left.speed(blc) - c0))
+    brc = right.coefficient(0.08)
+    inverse_err = max(inverse_err, abs(right.speed(brc) - 0.08))
     signs_ok = True
     for c in (-0.05, 0.0, 0.05):
         wave = matching.solve_three_species(cubic25, logistic, cubic25,

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import freewave
 from freewave import cli
 
 
@@ -222,3 +225,13 @@ def test_config_integer_beyond_float_range_exits_3(tmp_path, capsys):
 def test_non_finite_values_exit_3(argv, capsys):
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == "error: %s must be finite, got %s\n" % tuple(argv[-2:])
+
+
+def test_cli_import_loads_no_quadrature():
+    code = ("import sys, freewave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(freewave.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -19,14 +19,17 @@ def test_tilde_beta_closed_form(logistic, cubic25):
     for f, g, alpha in ((logistic, logistic, 1.0), (cubic25, logistic, 1.0),
                         (logistic, cubic25, 0.7)):
         expected = alpha * math.sqrt(primitive_at(f, 1.0) / primitive_at(g, 1.0))
-        assert matching.tilde_beta(f, g, alpha) == pytest.approx(expected, abs=1e-12)
-    assert matching.tilde_beta(cubic25, logistic, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert matching.tilde_alpha(cubic25, logistic, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert matching.beta_boundary(f, g, alpha).balanced() == pytest.approx(
+            expected, abs=1e-12)
+    assert matching.beta_boundary(cubic25, logistic, 1.0).balanced() == pytest.approx(
+        0.5, abs=1e-12)
+    assert matching.alpha_boundary(cubic25, logistic, 0.5).balanced() == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_balanced_coefficient_is_zero_speed_root(logistic, cubic25):
     for f, g, alpha in ((logistic, logistic, 1.0), (cubic25, logistic, 1.0)):
-        bt = matching.tilde_beta(f, g, alpha)
+        bt = matching.beta_boundary(f, g, alpha).balanced()
         assert matching.D_two(0.0, alpha, bt, f, g) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -93,10 +96,10 @@ def test_hat_c_requires_positive_alpha(logistic):
 
 
 def test_beta_of_c_tilde_and_monotone(logistic):
-    assert matching.beta_of_c(logistic, logistic, 1.0, 0.0) == pytest.approx(
-        1.0, abs=1e-8)
+    boundary = matching.beta_boundary(logistic, logistic, 1.0)
+    assert boundary.coefficient(0.0) == pytest.approx(1.0, abs=1e-8)
     grid = np.linspace(-0.5, 0.3, 9)
-    vals = [matching.beta_of_c(logistic, logistic, 1.0, c) for c in grid]
+    vals = [boundary.coefficient(c) for c in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.0
 
@@ -104,17 +107,17 @@ def test_beta_of_c_tilde_and_monotone(logistic):
 def test_beta_of_c_domain(logistic):
     hat = matching.hat_c_f(logistic, 1.0)
     with pytest.raises(Infeasible):
-        matching.beta_of_c(logistic, logistic, 1.0, hat + 0.05)
+        matching.beta_boundary(logistic, logistic, 1.0).coefficient(hat + 0.05)
 
 
 def test_alpha_of_c_inverse_relation(logistic):
-    assert matching.alpha_of_c(logistic, logistic, 1.0, 0.0) == pytest.approx(
-        1.0, abs=1e-8)
-    a = matching.alpha_of_c(logistic, logistic, 1.0, 0.12)
+    boundary = matching.alpha_boundary(logistic, logistic, 1.0)
+    assert boundary.coefficient(0.0) == pytest.approx(1.0, abs=1e-8)
+    a = boundary.coefficient(0.12)
     assert matching.D_two(0.12, a, 1.0, logistic, logistic) == pytest.approx(
         0.0, abs=1e-10)
     with pytest.raises(Infeasible):
-        matching.alpha_of_c(logistic, logistic, 1.0, -0.5)
+        boundary.coefficient(-0.5)
 
 
 def test_solve_two_species_symmetric(logistic):
@@ -127,7 +130,7 @@ def test_solve_two_species_symmetric(logistic):
 
 
 def test_solve_two_species_sign_law(logistic):
-    bt = matching.tilde_beta(logistic, logistic, 1.0)
+    bt = matching.beta_boundary(logistic, logistic, 1.0).balanced()
     cs = [matching.solve_two_species(logistic, logistic, 1.0, b).c
           for b in (0.5 * bt, bt, 2.0 * bt)]
     assert cs[0] > 1e-3
@@ -141,7 +144,7 @@ def test_sign_law_random_draws(rng):
         g = make_monostable(rng)
         alpha = float(rng.uniform(0.3, 2.0))
         beta = float(rng.uniform(0.3, 2.0))
-        bt = matching.tilde_beta(f, g, alpha)
+        bt = matching.beta_boundary(f, g, alpha).balanced()
         d0 = matching.D_two(0.0, alpha, beta, f, g)
         # beta below the balanced value pushes the root (the wave speed) right
         if beta < bt:
@@ -185,7 +188,7 @@ def test_two_species_speed_reflects(kf, theta_f, kg, theta_g, a, b):
 
 
 def test_two_species_inverse_pair(logistic):
-    b = matching.beta_of_c(logistic, logistic, 1.0, 0.1)
+    b = matching.beta_boundary(logistic, logistic, 1.0).coefficient(0.1)
     wave = matching.solve_two_species(logistic, logistic, 1.0, b)
     assert wave.c == pytest.approx(0.1, abs=1e-6)
 
@@ -202,8 +205,8 @@ def test_case_classify_symmetric(cubic25, logistic):
 
 
 def test_tilde_beta_l_r_closed_form(cubic25, logistic):
-    bl = matching.tilde_beta_l(cubic25, logistic, 1.0, 0.5)
-    br = matching.tilde_beta_r(logistic, cubic25, 1.0, 0.5)
+    bl = matching.left_boundary(cubic25, logistic, 1.0, 0.5).balanced()
+    br = matching.right_boundary(logistic, cubic25, 1.0, 0.5).balanced()
     expected = math.sqrt(primitive_at(cubic25, 1.0) / primitive_at(logistic, 0.5))
     assert bl == pytest.approx(expected, abs=1e-12)
     assert bl == pytest.approx(0.7071068, abs=1e-6)
@@ -211,19 +214,21 @@ def test_tilde_beta_l_r_closed_form(cubic25, logistic):
 
 
 def test_beta_l_r_at_zero_speed(cubic25, logistic):
-    bl0 = matching.beta_l_of_c(cubic25, logistic, 1.0, 0.5, 0.0)
-    br0 = matching.beta_r_of_c(logistic, cubic25, 1.0, 0.5, 0.0)
-    assert bl0 == pytest.approx(matching.tilde_beta_l(cubic25, logistic, 1.0, 0.5),
-                                abs=1e-8)
-    assert br0 == pytest.approx(matching.tilde_beta_r(logistic, cubic25, 1.0, 0.5),
-                                abs=1e-8)
+    left = matching.left_boundary(cubic25, logistic, 1.0, 0.5)
+    right = matching.right_boundary(logistic, cubic25, 1.0, 0.5)
+    bl0 = left.coefficient(0.0)
+    br0 = right.coefficient(0.0)
+    assert bl0 == pytest.approx(left.balanced(), abs=1e-8)
+    assert br0 == pytest.approx(right.balanced(), abs=1e-8)
 
 
 def test_beta_l_decreasing_beta_r_increasing(cubic25, logistic):
     tag = matching.case_classify(cubic25, logistic, cubic25, 1.0, 1.0, 0.5)
     grid = np.linspace(tag.c_minus + 0.01, tag.c_plus - 0.01, 7)
-    bl = [matching.beta_l_of_c(cubic25, logistic, 1.0, 0.5, c) for c in grid]
-    br = [matching.beta_r_of_c(logistic, cubic25, 1.0, 0.5, c) for c in grid]
+    left = matching.left_boundary(cubic25, logistic, 1.0, 0.5)
+    right = matching.right_boundary(logistic, cubic25, 1.0, 0.5)
+    bl = [left.coefficient(c) for c in grid]
+    br = [right.coefficient(c) for c in grid]
     assert all(a > b for a, b in zip(bl, bl[1:]))
     assert all(a < b for a, b in zip(br, br[1:]))
 
@@ -231,52 +236,52 @@ def test_beta_l_decreasing_beta_r_increasing(cubic25, logistic):
 def test_beta_l_domain(cubic25, logistic):
     hat1 = matching.hat_c_f(cubic25, 1.0)
     with pytest.raises(Infeasible):
-        matching.beta_l_of_c(cubic25, logistic, 1.0, 0.5, hat1 + 0.05)
+        matching.left_boundary(cubic25, logistic, 1.0, 0.5).coefficient(hat1 + 0.05)
 
 
 def test_reflected_maps_name_their_own_domain(cubic25, logistic):
     # beta_r and alpha are the left pairing at -c; errors stay in the caller's frame
-    c3 = matching.hat_c3(cubic25, 1.0)
+    c3 = -matching.hat_c_f(cubic25, 1.0)
     c_r = compact_wave.speed_window(logistic, 0.5).c_star_r
     with pytest.raises(Infeasible, match="right") as exc:
-        matching.beta_r_of_c(logistic, cubic25, 1.0, 0.5, c3 - 0.05)
+        matching.right_boundary(logistic, cubic25, 1.0, 0.5).coefficient(c3 - 0.05)
     assert "(%g, %g)" % (c3, c_r) in str(exc.value)
     hat_g = -matching.hat_c_f(logistic, 1.0)
     c_f = phase_plane.critical_speed_decreasing(logistic)
     with pytest.raises(Infeasible, match="alpha") as exc:
-        matching.alpha_of_c(logistic, logistic, 1.0, hat_g - 0.05)
+        matching.alpha_boundary(logistic, logistic, 1.0).coefficient(hat_g - 0.05)
     assert "(%g, %g)" % (hat_g, c_f) in str(exc.value)
 
 
 def test_beta0_requires_matching_case(strong, logistic):
     # symmetric data sits in Case1/CaseI, so the limiting coefficients are undefined
     with pytest.raises(Infeasible):
-        matching.beta0_l(logistic, logistic, 1.0, 0.5)
+        matching.left_boundary(logistic, logistic, 1.0, 0.5).threshold()
     with pytest.raises(Infeasible):
-        matching.beta0_r(logistic, logistic, 1.0, 0.5)
+        matching.right_boundary(logistic, logistic, 1.0, 0.5).threshold()
     # a strong left reaction with a large coefficient pushes hat_c1 past the window
     tag = matching.case_classify(strong, logistic, logistic, 10.0, 1.0, 0.5)
     assert tag.left_case == "Case2"
-    assert matching.beta0_l(strong, logistic, 10.0, 0.5) > 0.0
+    assert matching.left_boundary(strong, logistic, 10.0, 0.5).threshold() > 0.0
 
 
 def test_speed_from_coefficient_roundtrip(cubic25, logistic):
     c0 = 0.08
-    bl = matching.beta_l_of_c(cubic25, logistic, 1.0, 0.5, c0)
-    br = matching.beta_r_of_c(logistic, cubic25, 1.0, 0.5, c0)
-    assert matching.C_l(cubic25, logistic, 1.0, 0.5, bl) == pytest.approx(
-        c0, abs=1e-6)
-    assert matching.C_r(logistic, cubic25, 1.0, 0.5, br) == pytest.approx(
-        c0, abs=1e-6)
+    left = matching.left_boundary(cubic25, logistic, 1.0, 0.5)
+    right = matching.right_boundary(logistic, cubic25, 1.0, 0.5)
+    bl = left.coefficient(c0)
+    br = right.coefficient(c0)
+    assert left.speed(bl) == pytest.approx(c0, abs=1e-6)
+    assert right.speed(br) == pytest.approx(c0, abs=1e-6)
 
 
 def test_speed_from_coefficient_case2_threshold(strong, logistic):
-    b0 = matching.beta0_l(strong, logistic, 10.0, 0.5)
+    left = matching.left_boundary(strong, logistic, 10.0, 0.5)
+    b0 = left.threshold()
     with pytest.raises(Infeasible):
-        matching.C_l(strong, logistic, 10.0, 0.5, 0.5 * b0)
-    c = matching.C_l(strong, logistic, 10.0, 0.5, 2.0 * b0)
-    assert matching.beta_l_of_c(strong, logistic, 10.0, 0.5, c) == pytest.approx(
-        2.0 * b0, abs=1e-8)
+        left.speed(0.5 * b0)
+    c = left.speed(2.0 * b0)
+    assert left.coefficient(c) == pytest.approx(2.0 * b0, abs=1e-8)
 
 
 def test_case2_maps_stop_at_window_edge(strong, logistic):
@@ -284,20 +289,53 @@ def test_case2_maps_stop_at_window_edge(strong, logistic):
     c_r = compact_wave.speed_window(logistic, 0.5).c_star_r
     assert matching.hat_c_f(strong, 10.0) > 2.0129 > c_r
     with pytest.raises(Infeasible, match="left"):
-        matching.beta_l_of_c(strong, logistic, 10.0, 0.5, 2.0129)
+        matching.left_boundary(strong, logistic, 10.0, 0.5).coefficient(2.0129)
     with pytest.raises(Infeasible, match="right"):
-        matching.beta_r_of_c(logistic, strong, 10.0, 0.5, -2.0129)
+        matching.right_boundary(logistic, strong, 10.0, 0.5).coefficient(-2.0129)
 
 
 def test_positivity_errors_name_the_coefficient(cubic25, logistic):
     with pytest.raises(Infeasible, match="gamma must be positive"):
-        matching.C_r(logistic, cubic25, -1.0, 0.5, 1.0)
+        matching.right_boundary(logistic, cubic25, -1.0, 0.5).speed(1.0)
     with pytest.raises(Infeasible, match="gamma must be positive"):
-        matching.hat_c3(cubic25, -1.0)
+        matching.case_classify(cubic25, logistic, cubic25, 1.0, -1.0, 0.5)
     with pytest.raises(Infeasible, match="beta must be positive"):
-        matching.alpha_of_c(logistic, logistic, -1.0, 0.1)
+        matching.alpha_boundary(logistic, logistic, -1.0).coefficient(0.1)
     with pytest.raises(Infeasible, match="beta must be positive"):
-        matching.tilde_alpha(logistic, logistic, -1.0)
+        matching.alpha_boundary(logistic, logistic, -1.0).balanced()
+
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(), st.booleans(),
+       st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.2, 0.8))
+def test_boundary_identities_property(seed, f_bistable, g_bistable, m_bistable,
+                                      a, b, t):
+    # the four boundaries are one pairing: the alpha map inverts the beta map,
+    # the right boundary is the left one at -c, speed inverts coefficient,
+    # and the coefficient at c = 0 is the balanced one
+    rng = np.random.default_rng(seed)
+    f, g, f2 = ((make_bistable if bistable else make_monostable)(rng)
+                for bistable in (f_bistable, g_bistable, m_bistable))
+    # a bistable middle needs positive apex energy F2(sigma)
+    sigma = float(rng.uniform(0.8, 0.95) if m_bistable else rng.uniform(0.3, 0.9))
+
+    def interior(boundary):
+        lo, hi = boundary.domain()
+        return lo + t * (hi - lo)
+
+    beta = matching.beta_boundary(f, g, a)
+    c = interior(beta)
+    assert matching.alpha_boundary(f, g, beta.coefficient(c)).coefficient(c) == \
+        pytest.approx(a, rel=1e-9)
+    right = matching.right_boundary(f2, g, b, sigma)
+    c = interior(right)
+    assert right.coefficient(c) == matching.left_boundary(g, f2, b, sigma).coefficient(-c)
+    for boundary in (beta, matching.alpha_boundary(f, g, b),
+                     matching.left_boundary(f, f2, a, sigma), right):
+        c = interior(boundary)
+        assert boundary.speed(boundary.coefficient(c)) == pytest.approx(c, abs=1e-8)
+        assert boundary.coefficient(0.0) == pytest.approx(boundary.balanced(), abs=1e-6)
 
 
 def test_solve_three_species_symmetric(cubic25, logistic):

@@ -234,6 +234,21 @@ def test_semiwave_profile_invariants(logistic, cubic25):
         assert phase_plane.profile_residual(prof, f) <= 1e-6
 
 
+
+def test_fast_fronts_reach_the_cut(logistic):
+    # past the node speed a front decays at about f'(0) / c, so the profile
+    # shot needs a horizon beyond z = 400 to reach its cut level
+    for c in (24.0, 30.0):
+        prof = phase_plane.semiwave_profile(logistic, c)
+        assert phase_plane.profile_residual(prof, logistic) <= 1e-6
+        assert abs(prof.phi[0] - 1.0) <= 2.0 * prof.far_tol
+        assert abs(prof.phi[-1]) <= 2.0 * prof.far_tol
+    # the horizon covers both the saddle escape and the slow decay, each
+    # about ln(1e6) c long at large c
+    traj, _ = phase_plane._cut_shot(logistic, 60.0, 1e-6, phase_plane.TAG_REL_TOL)
+    assert traj.first_event(3) is not None
+
+
 def test_semiwave_profile_increasing_mirror(logistic):
     prof = phase_plane.semiwave_profile_increasing(logistic, 0.3)
     assert prof.z[0] == 0.0
