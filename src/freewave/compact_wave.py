@@ -6,7 +6,7 @@ apex where phi2' = 0. Given the apex height sigma, each half is a shot of
 the profile equation phi'' + c phi' + f2(phi) = 0 launched forward in z
 from the apex state (sigma, 0): phase_plane's shot with apex = sigma,
 which shares the semi-wave shot's slope cache, critical-speed search,
-node trap, horizons and tolerances:
+node trap, horizons, tolerances and largest grid spacing:
 
 * the right half at speed c is the forward shot at c, ending where phi
   falls through 0 with edge slope omega_r < 0;
@@ -30,23 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .phase_plane import (CROSSES, SLOPE_REL_TOL, Z_CAP_SLOPE, _check_apex,
+from .phase_plane import (CROSSES, MAX_DZ, SLOPE_REL_TOL, Z_CAP_SLOPE, _check_apex,
                           _critical_speed_cached, _edge_slope, _sector_growth,
                           _shot, critical_speed_increasing)
 from .reaction import ReactionSpec, primitive_at
 
 
-def left_slope(f2: ReactionSpec, sigma: float, c: float,
-               rel_tol: float = SLOPE_REL_TOL) -> float:
+def left_slope(f2: ReactionSpec, sigma: float, c: float) -> float:
     """Left edge slope omega_l(c) = -omega_r(-c) > 0; raises NoSemiWave if the
     edge is not reached."""
-    return -right_slope(f2, sigma, -c, rel_tol=rel_tol)
+    return -right_slope(f2, sigma, -c)
 
 
-def right_slope(f2: ReactionSpec, sigma: float, c: float,
-                rel_tol: float = SLOPE_REL_TOL) -> float:
+def right_slope(f2: ReactionSpec, sigma: float, c: float) -> float:
     """Right edge slope omega_r(c) < 0; raises NoSemiWave if the edge is not reached."""
-    return _edge_slope(f2, float(sigma), c, rel_tol)
+    return _edge_slope(f2, float(sigma), c)
 
 
 @dataclass(frozen=True)
@@ -99,19 +97,19 @@ class CompactWave:
     slope_right: float
 
 
-def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
-                    rel_tol: float = SLOPE_REL_TOL) -> CompactWave:
+def compact_profile(f2: ReactionSpec, sigma: float, c: float) -> CompactWave:
     """Assemble the compact profile at speed c from the two apex halves.
 
     The right half is the forward apex shot at c, the left half the
-    reflected forward shot at -c; they join smoothly at the apex. Raises
-    an out-of-window error carrying the window when either edge fails.
+    reflected forward shot at -c; they join smoothly at the apex, and each
+    is sampled uniformly at spacing up to MAX_DZ. Raises an out-of-window
+    error carrying the window when either edge fails.
     """
     # from the sector speed 2 sqrt(K) on, an edge cannot connect: no shot
     inside = abs(c) < 2.0 * math.sqrt(_sector_growth(f2))
     if inside:
-        res_l, traj_l = _shot(f2, -c, Z_CAP_SLOPE, rel_tol, sigma, dense=True)
-        res_r, traj_r = _shot(f2, c, Z_CAP_SLOPE, rel_tol, sigma, dense=True)
+        res_l, traj_l = _shot(f2, -c, Z_CAP_SLOPE, SLOPE_REL_TOL, sigma, dense=True)
+        res_r, traj_r = _shot(f2, c, Z_CAP_SLOPE, SLOPE_REL_TOL, sigma, dense=True)
     if not inside or res_l.tag != CROSSES or res_r.tag != CROSSES:
         win = speed_window(f2, sigma)
         raise Infeasible(
@@ -121,8 +119,8 @@ def compact_profile(f2: ReactionSpec, sigma: float, c: float, dz: float = 0.01,
     s_l, s_r = res_l.z_stop, res_r.z_stop
     width = s_l + s_r
     # the apex at z = s_l is a shared grid point of the two halves
-    nl = max(int(math.ceil(s_l / dz)), 4)
-    nr = max(int(math.ceil(s_r / dz)), 4)
+    nl = max(int(math.ceil(s_l / MAX_DZ)), 4)
+    nr = max(int(math.ceil(s_r / MAX_DZ)), 4)
     z = np.concatenate([np.linspace(0.0, s_l, nl + 1),
                         np.linspace(s_l, width, nr + 1)[1:]])
 

@@ -22,7 +22,8 @@ balanced coefficient at speed 0 (tilde beta), the coefficient map b(c)
 speed for a coefficient (C(beta)). beta_boundary, alpha_boundary,
 left_boundary and right_boundary build them; the alpha and right
 boundaries are the same pairing at -c with the outer species swapped, so
-every mirror quantity is obtained by that reflection.
+every mirror quantity is obtained by that reflection. Root tolerances are
+the constants HAT_C_TOL and SPEED_TOL; a caller passes only the physics.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .phase_plane import (SemiWave, critical_speed_decreasing,
                           semiwave_profile_increasing, semiwave_slope,
                           semiwave_slope_increasing)
 from .reaction import ReactionSpec, primitive_at
+
+HAT_C_TOL = 1e-10         # root tolerance of hat_c_f
+SPEED_TOL = 1e-12         # root tolerance of Boundary.speed
 
 
 def _or_zero(slope, *args) -> float:
@@ -120,7 +124,7 @@ class Boundary:
                              % (self.name, self.sign * hat, self.sign * hi))
         return self._pairing(hi)
 
-    def speed(self, b: float, tol: float = 1e-10) -> float:
+    def speed(self, b: float) -> float:
         """The speed for partner coefficient b, inverting coefficient(): the root
         of a phi'(0; c) + b p(c) + c on (lo, min(c*_f, hi)), in the caller's frame."""
         if b <= 0.0:
@@ -139,7 +143,7 @@ class Boundary:
         if f_zero > 0.0:
             # the partner's slope vanishes at its critical speed lo
             f_lo = self.a * semiwave_slope(self.f, lo) + lo
-            root = find_root_monotone(objective, lo, 0.0, tol=tol, f_lo=f_lo, f_hi=f_zero)
+            root = find_root_monotone(objective, lo, 0.0, SPEED_TOL, f_lo=f_lo, f_hi=f_zero)
         else:
             c_star = critical_speed_decreasing(self.f)
             if hi < c_star:
@@ -151,7 +155,7 @@ class Boundary:
                 raise Infeasible(
                     "%s coefficient %g below its threshold; no admissible speed in the "
                     "window (%g, %g)" % ((self.name, b) + self._frame(lo, hi)))
-            root = find_root_monotone(objective, 0.0, top, tol=tol, f_lo=f_zero, f_hi=f_top)
+            root = find_root_monotone(objective, 0.0, top, SPEED_TOL, f_lo=f_zero, f_hi=f_top)
         return self.sign * root + 0.0   # + 0.0 turns a reflected -0.0 into 0.0
 
 
@@ -205,18 +209,18 @@ def right_boundary(f2: ReactionSpec, f3: ReactionSpec, gamma: float,
 
 
 @functools.lru_cache(maxsize=1024)
-def _hat_c_cached(f: ReactionSpec, alpha: float, tol: float) -> float:
+def _hat_c_cached(f: ReactionSpec, alpha: float) -> float:
     c_star = critical_speed_decreasing(f)
 
     def objective(c):
         return alpha * _or_zero(semiwave_slope, f, c) + c
 
     # the slope vanishes at c*, so the objective's limit there is c* > 0
-    return find_root_monotone(objective, 0.0, c_star, tol=tol,
+    return find_root_monotone(objective, 0.0, c_star, tol=HAT_C_TOL,
                               f_lo=alpha * semiwave_slope(f, 0.0), f_hi=c_star)
 
 
-def hat_c_f(f: ReactionSpec, alpha: float, tol: float = 1e-10) -> float:
+def hat_c_f(f: ReactionSpec, alpha: float) -> float:
     """The unique root of alpha * phi'(0; c) + c in (0, c*_f).
 
     This is the speed the left species sustains against a bare boundary
@@ -225,7 +229,7 @@ def hat_c_f(f: ReactionSpec, alpha: float, tol: float = 1e-10) -> float:
     """
     if alpha <= 0.0:
         raise Infeasible("alpha must be positive, got %g" % alpha)
-    return _hat_c_cached(f, float(alpha), float(tol))
+    return _hat_c_cached(f, float(alpha))
 
 
 def D_two(c: float, alpha: float, beta: float, f: ReactionSpec,
@@ -256,9 +260,8 @@ class TwoSpeciesWave:
     residual: float
 
 
-def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float, beta: float,
-                      tol: float = 1e-12, far_tol: float = 1e-8,
-                      dz: float = 0.01) -> TwoSpeciesWave:
+def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float,
+                      beta: float) -> TwoSpeciesWave:
     """Find the unique speed balancing the free boundary and assemble the wave.
 
     The root of D lies in (c*_g, hat_c_f]; it is bracketed by c = 0 and
@@ -266,9 +269,9 @@ def solve_two_species(f: ReactionSpec, g: ReactionSpec, alpha: float, beta: floa
     set to 0.
     """
     boundary = beta_boundary(f, g, alpha)
-    c = boundary.speed(beta, tol)
-    left = semiwave_profile(f, c, far_tol=far_tol, dz=dz)
-    right = semiwave_profile_increasing(g, c, far_tol=far_tol, dz=dz)
+    c = boundary.speed(beta)
+    left = semiwave_profile(f, c)
+    right = semiwave_profile_increasing(g, c)
     residual = alpha * left.interface_slope + beta * right.interface_slope + c
     return TwoSpeciesWave(c=c, alpha=alpha, beta=beta, f=f, g=g,
                           left=left, right=right,
@@ -346,8 +349,8 @@ class ThreeSpeciesWave:
 
 
 def solve_three_species(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
-                        alpha: float, gamma: float, sigma: float, c: float,
-                        far_tol: float = 1e-8, dz: float = 0.01) -> ThreeSpeciesWave:
+                        alpha: float, gamma: float, sigma: float,
+                        c: float) -> ThreeSpeciesWave:
     """Assemble the three-species wave at an admissible speed c.
 
     For each c in the case interval there is a unique positive coefficient
@@ -366,9 +369,9 @@ def solve_three_species(f1: ReactionSpec, f2: ReactionSpec, f3: ReactionSpec,
     edge_r = right_boundary(f2, f3, gamma, sigma)
     b_l, b_r = edge_l.coefficient(c), edge_r.coefficient(c)
 
-    left = semiwave_profile(f1, c, far_tol=far_tol, dz=dz)
-    middle = compact_profile(f2, sigma, c, dz=dz)
-    right = semiwave_profile_increasing(f3, c, far_tol=far_tol, dz=dz)
+    left = semiwave_profile(f1, c)
+    middle = compact_profile(f2, sigma, c)
+    right = semiwave_profile_increasing(f3, c)
     res_l = alpha * left.interface_slope + b_l * middle.slope_left + c
     res_r = gamma * right.interface_slope + b_r * middle.slope_right + c
     return ThreeSpeciesWave(

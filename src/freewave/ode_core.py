@@ -5,11 +5,12 @@ Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6). It
 follows scipy's RK45 step for step: the same tableau with its FSAL stage,
 RMS error norm, step controller and initial-step estimate, the same event
 rules, and the same quartic continuous extension for event location and
-dense output, without numpy's per-step overhead. Its stage sums run left
-to right where scipy's go through BLAS, so step sizes agree with scipy's
-to rounding, not bit for bit. scipy's initial-value solver is this
-kernel's test oracle, not a code path. Root finding wraps Brent's method
-from scipy.optimize.
+dense output, without numpy's per-step overhead. It integrates forward in
+t only and keeps each event's first firing and the final state. Its stage
+sums run left to right where scipy's go through BLAS, so step sizes agree
+with scipy's to rounding, not bit for bit. scipy's initial-value solver is
+this kernel's test oracle, not a code path. Root finding wraps Brent's
+method from scipy.optimize.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from scipy.optimize import brentq
 from .errors import BracketError, StepError
 
 MAX_STEPS = 1_000_000     # guard against an integration that never settles
+MAX_BISECTIONS = 200      # guard against a bisection tolerance below rounding
 
 EPS = sys.float_info.epsilon
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
@@ -59,45 +61,39 @@ P = np.array([
 
 @dataclass
 class Trajectory:
-    """Result of one integration.
-
-    t holds the start and then one entry per accepted step (the last one
-    moved back to the root of a terminal event). y has one row per state
-    component and one column per time, so y[k, -1] is component k at the
-    stopping point.
-    event_times[i] / event_states[i] collect every firing of events[i].
-    dense(t) evaluates the continuous interpolant when dense output was
-    requested: shape (2,) for a scalar t, (2, n) for n times.
+    """Result of one integration: t holds the start and then one entry per
+    accepted step (the last one moved back to the root of a terminal event),
+    y_end the final state, hits[i] the (time, state) of the first firing of
+    events[i] or None, and dense(t), when requested, the continuous
+    interpolant: shape (2,) for a scalar t, (2, n) for n times.
     """
 
     t: np.ndarray
-    y: np.ndarray
-    event_times: list
-    event_states: list
+    y_end: tuple
+    hits: list
     dense: Optional[Callable] = None
 
     def first_event(self, i: int):
         """(time, state) of the first firing of event i, or None."""
-        if i < len(self.event_times) and len(self.event_times[i]):
-            return self.event_times[i][0], self.event_states[i][0]
-        return None
+        return self.hits[i]
 
 
 def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
               rel_tol: float = 1e-10, abs_tol: float = 1e-12,
               max_step: float = math.inf) -> Trajectory:
-    """Integrate the planar system y' = rhs(t, (y0, y1)) over t_span from y0.
+    """Integrate the planar system y' = rhs(t, (y0, y1)) forward over t_span
+    from y0, t_span[0] <= t_span[1].
 
     rhs returns the two derivatives. Each event is a scalar function
-    g(t, (y0, y1)), recorded where it changes sign over a step and located
-    on the step's interpolant; scipy's conventions apply: an attribute
+    g(t, (y0, y1)) that fires where it changes sign over a step, located on
+    the step's interpolant; its first firing is kept in hits. scipy's
+    conventions apply: an attribute
     terminal = True stops the integration at the earliest such root, and
     direction > 0 (< 0) counts only rising (falling) crossings. Raises
     StepError when the step size falls below 10 ulp of t or is NaN, or
     after MAX_STEPS accepted steps.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
-    direction = -1.0 if t_end < t else 1.0
     ya, yb = (float(v) for v in y0)
     rtol, atol = max(float(rel_tol), 100.0 * EPS), float(abs_tol)
     fa, fb = rhs(t, (ya, yb))
@@ -107,12 +103,11 @@ def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
     stops = [bool(getattr(e, "terminal", False)) for e in events]
     sides = [getattr(e, "direction", 0.0) for e in events]
     g = [e(t, (ya, yb)) for e in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    ts, yas, ybs, pieces = [t], [ya], [yb], []
+    hits = [None] * len(events)
+    ts, pieces = [t], []
     steps = 0
-    while direction * (t - t_end) < 0.0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -123,11 +118,8 @@ def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
                 raise StepError("integration failed: %s at t = %g" % (
                     "the step size is NaN" if math.isnan(h_abs) else
                     "required step size is less than spacing between numbers", t))
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0.0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
             k2a, k2b = rhs(t + C2 * h, (ya + fa * A21 * h, yb + fb * A21 * h))
             k3a, k3b = rhs(t + C3 * h, (ya + (fa * A31 + k2a * A32) * h,
                                         yb + (fb * A31 + k2b * A32) * h))
@@ -172,23 +164,19 @@ def integrate(rhs, t_span, y0, events=(), dense_output: bool = False,
                 sol = _step_interpolant(piece)
                 roots = [brentq(lambda s, e=events[i]: e(s, sol(s)), piece[0], t,
                                 xtol=4.0 * EPS, rtol=4.0 * EPS) for i in active]
-                for root, i in sorted(zip(roots, active), key=lambda hit: direction * hit[0]):
-                    t_events[i].append(root)
-                    y_events[i].append(sol(root))
+                for root, i in sorted(zip(roots, active)):
+                    if hits[i] is None:
+                        hits[i] = (root, sol(root))
                     if stops[i]:
                         stop = True
                         t, (ya, yb) = root, sol(root)
                         break
         ts.append(t)
-        yas.append(ya)
-        ybs.append(yb)
         if stop:
             break
 
-    return Trajectory(t=np.array(ts), y=np.array([yas, ybs]),
-                      event_times=[np.asarray(te) for te in t_events],
-                      event_states=[np.asarray(ye) for ye in y_events],
-                      dense=_dense_output(ts, pieces, direction) if dense_output else None)
+    return Trajectory(t=np.array(ts), y_end=(ya, yb), hits=hits,
+                      dense=_dense_output(ts, pieces) if dense_output else None)
 
 
 def _quartic(x, h, y_old, q):
@@ -211,18 +199,18 @@ def _step_interpolant(piece):
     return sol
 
 
-def _dense_output(ts, pieces, direction: float):
+def _dense_output(ts, pieces):
     """Piecewise continuous extension over every step, evaluated vectorised."""
     data = np.array(pieces)
     t_old, h, ya, yb = data[:, 0], data[:, 1], data[:, 2], data[:, 3]
     qa, qb = data[:, 4:10] @ P, data[:, 10:] @ P
-    starts = direction * np.asarray(ts)
+    starts = np.asarray(ts)
     last = len(pieces) - 1
 
     def dense(t):
         t = np.asarray(t, dtype=float)
         # the step whose closed interval holds t, the earlier one at a break
-        i = np.clip(np.searchsorted(starts, direction * t, side="left") - 1, 0, last)
+        i = np.clip(np.searchsorted(starts, t, side="left") - 1, 0, last)
         x = (t - t_old[i]) / h[i]
         return np.stack([_quartic(x, h[i], ya[i], qa[i].T),
                          _quartic(x, h[i], yb[i], qb[i].T)])
@@ -243,7 +231,6 @@ def _first_step(rhs, t0: float, t_end: float, y, f, rel_tol: float,
     span = abs(t_end - t0)
     if span == 0.0:
         return 0.0
-    direction = -1.0 if t_end < t0 else 1.0
     (ya, yb), (fa, fb) = y, f
     sa, sb = abs_tol + abs(ya) * rel_tol, abs_tol + abs(yb) * rel_tol
     if ya == 0.0 or yb == 0.0:
@@ -252,7 +239,7 @@ def _first_step(rhs, t0: float, t_end: float, y, f, rel_tol: float,
     d0 = _rms(ya / sa, yb / sb)
     d1 = _rms(fa / sa, fb / sb)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    ga, gb = rhs(t0 + h0 * direction, (ya + h0 * direction * fa, yb + h0 * direction * fb))
+    ga, gb = rhs(t0 + h0, (ya + h0 * fa, yb + h0 * fb))
     d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -293,8 +280,7 @@ def find_root_monotone(fn, lo: float, hi: float, tol: float = 1e-10,
     return brentq(known_ends, lo, hi, xtol=tol, rtol=8.881784197001252e-16)
 
 
-def bisect_predicate(pred, lo: float, hi: float, tol: float = 1e-8,
-                     max_iter: int = 200) -> float:
+def bisect_predicate(pred, lo: float, hi: float, tol: float = 1e-8) -> float:
     """Bisection on a boolean predicate that flips exactly once on [lo, hi].
 
     pred(lo) and pred(hi) must differ. Returns the midpoint of the final
@@ -305,7 +291,7 @@ def bisect_predicate(pred, lo: float, hi: float, tol: float = 1e-8,
     phi = pred(hi)
     if plo == phi:
         raise BracketError("predicate does not flip on [%g, %g]" % (lo, hi))
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         if hi - lo <= 2.0 * tol:
             break
         mid = 0.5 * (lo + hi)

@@ -41,6 +41,7 @@ from .matching import TwoSpeciesWave
 from .reaction import evaluate
 
 _FAR_FIELD_TOL = 1e-6
+MAX_RECORDS = 4000        # most rows of a run's (t, s, s') history
 # fewest grid cells a side: the interface stencil needs three points, and
 # scipy's dgttrf/dgttrs wrappers reject systems of fewer than three unknowns
 MIN_N = 4
@@ -153,8 +154,7 @@ def initial_state(wave: TwoSpeciesWave, L: float, N: int) -> FrontFrameState:
     return FrontFrameState(u=u, v=v, s=0.0, speed=sp, t=0.0, dx=dx)
 
 
-def run(wave: TwoSpeciesWave, L: float, N: int, T: float,
-        max_records: int = 4000) -> SimReport:
+def run(wave: TwoSpeciesWave, L: float, N: int, T: float) -> SimReport:
     """Run the front-frame simulation from the assembled wave to time T.
 
     dt is about dx / max(1, 2|c|), so that |c| dt/dx is at most 1/2 at the
@@ -169,7 +169,7 @@ def run(wave: TwoSpeciesWave, L: float, N: int, T: float,
     v = state0.v.copy()
     f, g, alpha, beta = wave.f, wave.g, wave.alpha, wave.beta
 
-    stride = max(1, nsteps // max_records)
+    stride = max(1, nsteps // MAX_RECORDS)
     rows = []
     s = 0.0
     sp = state0.speed

@@ -9,16 +9,15 @@ range. Two shapes are supported:
   f > 0 on (theta, 1), f'(0) < 0, f'(1) < 0 (cubic-like), and positive
   total mass F(1) = int_0^1 f > 0 so the high state wins.
 
-Coefficients are stored in increasing-power order: f(u) = sum c_k u^k.
+Coefficients are stored in increasing-power order: f(u) = sum c_k u^k. A
+spec holds them and its kind; no solver reads theta, so no spec stores it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidReaction
 
@@ -35,14 +34,11 @@ class ReactionSpec:
 
     coeffs: tuple
     kind: str
-    theta: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.kind not in ("monostable", "bistable"):
             raise InvalidReaction("kind must be 'monostable' or 'bistable', got %r" % (self.kind,))
-        if self.kind == "bistable" and self.theta is None:
-            raise InvalidReaction("bistable reactions require an interior zero theta")
 
 
 def logistic() -> ReactionSpec:
@@ -58,22 +54,17 @@ def cubic_bistable(theta: float) -> ReactionSpec:
     theta = float(theta)
     if not 0.0 < theta < 0.5:
         raise InvalidReaction("cubic_bistable requires 0 < theta < 1/2, got %g" % theta)
-    return ReactionSpec(coeffs=(0.0, -theta, 1.0 + theta, -1.0), kind="bistable", theta=theta)
+    return ReactionSpec(coeffs=(0.0, -theta, 1.0 + theta, -1.0), kind="bistable")
 
 
-def polynomial(coeffs, kind: Optional[str] = None) -> ReactionSpec:
-    """Build a ReactionSpec from raw coefficients, classifying if kind is None.
+def polynomial(coeffs) -> ReactionSpec:
+    """Build a ReactionSpec from raw coefficients, of the kind classify finds.
 
-    Always validates the structural requirements of the resulting kind.
     classify accepts a rounding-sized f(0); the constant term is stored as
     exactly 0, which the speed bounds of phase_plane rely on.
     """
     coeffs = tuple(float(c) for c in coeffs)
-    found_kind, theta = classify(coeffs)
-    if kind is not None and kind != found_kind:
-        raise InvalidReaction(
-            "declared kind %r but coefficients classify as %r" % (kind, found_kind))
-    return ReactionSpec(coeffs=(0.0,) + coeffs[1:], kind=found_kind, theta=theta)
+    return ReactionSpec(coeffs=(0.0,) + coeffs[1:], kind=classify(coeffs))
 
 
 def evaluate(spec: ReactionSpec, u):
@@ -102,12 +93,12 @@ def _horner(coeffs, u):
     return acc
 
 
-def classify(coeffs) -> tuple:
-    """Classify raw coefficients as (kind, theta).
+def classify(coeffs) -> str:
+    """Classify raw coefficients as 'monostable' or 'bistable'.
 
-    Requires f(0) = f(1) = 0 within 1e-10, then inspects interior zeros and
-    sign structure on a dense grid, refining each sign change with a
-    bracketing root solve.
+    Requires f(0) = f(1) = 0 within 1e-10, then inspects the sign structure
+    on a dense grid: an interior zero is a grid point where f vanishes or an
+    interval where it changes sign, and splits a bistable f's sign checks.
     """
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs or all(c == 0.0 for c in coeffs):
@@ -119,41 +110,30 @@ def classify(coeffs) -> tuple:
     if abs(f(1.0)) > _ZERO_TOL * scale:
         raise InvalidReaction("f(1) must vanish, got %g" % f(1.0))
 
-    grid = np.linspace(0.0, 1.0, _GRID_N)[1:-1]
-    vals = f(grid)
-    zeros = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            zeros.append(grid[i])
-        elif a * b < 0.0:
-            zeros.append(brentq(f, grid[i], grid[i + 1], xtol=1e-14))
-    # collapse near-duplicates from tangencies
-    distinct = []
-    for z in zeros:
-        if not distinct or z - distinct[-1] > 1e-8:
-            distinct.append(z)
+    vals = f(np.linspace(0.0, 1.0, _GRID_N)[1:-1])
+    zeros = [i for i in range(len(vals) - 1)
+             if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0]
 
     dcoeffs = tuple(k * c for k, c in enumerate(coeffs))[1:]
     fp0 = _horner(dcoeffs, 0.0)
     fp1 = _horner(dcoeffs, 1.0)
 
-    if not distinct:
+    if not zeros:
         if not np.all(vals > 0.0):
             raise InvalidReaction("no interior zero but f is not positive on (0, 1)")
         if fp0 <= 0.0:
             raise InvalidReaction("monostable reaction needs f'(0) > 0, got %g" % fp0)
         if fp1 >= 0.0:
             raise InvalidReaction("monostable reaction needs f'(1) < 0, got %g" % fp1)
-        return "monostable", None
+        return "monostable"
 
-    if len(distinct) == 1:
-        theta = distinct[0]
-        left = vals[grid < theta - 1e-6]
-        right = vals[grid > theta + 1e-6]
-        if left.size and not np.all(left < 0.0):
+    if len(zeros) == 1:
+        i = zeros[0]
+        # a sign change after grid point i leaves it on the left; a zero at i splits
+        left, right = vals[:i + (vals[i] != 0.0)], vals[i + 1:]
+        if not np.all(left < 0.0):
             raise InvalidReaction("bistable reaction needs f < 0 on (0, theta)")
-        if right.size and not np.all(right > 0.0):
+        if not np.all(right > 0.0):
             raise InvalidReaction("bistable reaction needs f > 0 on (theta, 1)")
         if fp0 >= 0.0:
             raise InvalidReaction("bistable reaction needs f'(0) < 0, got %g" % fp0)
@@ -163,7 +143,7 @@ def classify(coeffs) -> tuple:
         if mass <= 0.0:
             raise InvalidReaction(
                 "bistable reaction needs positive total mass int_0^1 f, got %g" % mass)
-        return "bistable", theta
+        return "bistable"
 
     raise InvalidReaction(
-        "reaction has %d interior zeros in (0, 1); expected 0 or 1" % len(distinct))
+        "reaction has %d interior zeros in (0, 1); expected 0 or 1" % len(zeros))

@@ -104,15 +104,38 @@ def test_compact_profile_moving(logistic):
     assert wave.apex < wave.width / 2   # positive drift skews the hump toward the trailing edge
 
 
+def test_compact_profile_residual_on_each_side(logistic, cubic25):
+    # off c = 0 the two halves have different spacings, each uniform
+    for f2, speeds in ((logistic, (-0.3, 0.3, 1.0)), (cubic25, (0.04,))):
+        for c in speeds:
+            wave = compact_wave.compact_profile(f2, 0.5, c)
+            assert phase_plane.profile_residual(wave, f2) <= 1e-6
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.75, 0.95))
+def test_edge_slope_and_window_property(seed, sigma):
+    # over random reactions: omega_l(0) = sqrt(2 F2(sigma)) by the first
+    # integral, and the window is symmetric, c*_l = -c*_r
+    rng = np.random.default_rng(seed)
+    for f2 in (make_monostable(rng), make_bistable(rng)):
+        assert evaluate(f2, sigma) > 0.0 and primitive_at(f2, sigma) > 0.0
+        assert compact_wave.left_slope(f2, sigma, 0.0) == pytest.approx(
+            edge_slope_energy(f2, sigma), abs=1e-10)
+        win = compact_wave.speed_window(f2, sigma)
+        assert win.c_star_l == -win.c_star_r < 0.0
+
+
 def test_width_matches_energy_quadrature(logistic):
     wave = compact_wave.compact_profile(logistic, 0.5, 0.0)
     assert wave.width == pytest.approx(
         width_energy_quadrature(logistic, 0.5), abs=1e-4)
 
 
-def test_width_stability_under_tighter_tolerance(logistic):
+def test_width_stability_under_tighter_tolerance(logistic, monkeypatch):
     base = compact_wave.compact_profile(logistic, 0.5, 0.0)
-    tight = compact_wave.compact_profile(logistic, 0.5, 0.0, rel_tol=1e-13)
+    monkeypatch.setattr(compact_wave, "SLOPE_REL_TOL", 1e-13)
+    tight = compact_wave.compact_profile(logistic, 0.5, 0.0)
     assert abs(base.width - tight.width) < 1e-6
 
 

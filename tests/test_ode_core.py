@@ -17,8 +17,8 @@ def _oscillator(t, y):
 
 def test_integrate_harmonic_oscillator():
     traj = ode_core.integrate(_oscillator, (0.0, 2 * math.pi), [1.0, 0.0])
-    assert traj.y[0, -1] == pytest.approx(1.0, abs=1e-8)
-    assert traj.y[1, -1] == pytest.approx(0.0, abs=1e-8)
+    assert traj.y_end[0] == pytest.approx(1.0, abs=1e-8)
+    assert traj.y_end[1] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_integrate_dense_output():
@@ -47,12 +47,16 @@ def _position(t, y):
     return y[0]
 
 
-def test_non_terminal_event_records_all_crossings():
-    # a plain function is a non-terminal event counting crossings both ways
+def test_non_terminal_event_records_its_first_crossing():
+    # a plain function is a non-terminal event: the first of its four
+    # crossings is kept, and the integration runs on to the end of the span
     traj = ode_core.integrate(_oscillator, (0.0, 4 * math.pi), [1.0, 0.0],
                               events=[_position])
-    assert len(traj.event_times[0]) == 4
-    assert traj.event_times[0][1] == pytest.approx(3 * math.pi / 2, abs=1e-8)
+    t_hit, y_hit = traj.first_event(0)
+    assert t_hit == pytest.approx(math.pi / 2, abs=1e-8)
+    assert y_hit[1] == pytest.approx(-1.0, abs=1e-8)
+    assert traj.t[-1] == 4 * math.pi
+    assert traj.y_end[0] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_max_steps_raises(monkeypatch):
@@ -114,9 +118,9 @@ def _oracle_shot(f, c, y0, rel_tol):
     sol = solve_ivp(rhs, span, y0, method="RK45", rtol=rel_tol, atol=abs_tol,
                     events=list(phase_plane._SHOT_EVENTS), first_step=first_step)
     assert sol.status >= 0
-    return ode_core.Trajectory(t=sol.t, y=sol.y,
-                               event_times=[np.asarray(te) for te in sol.t_events],
-                               event_states=[np.asarray(ye) for ye in sol.y_events])
+    return ode_core.Trajectory(t=sol.t, y_end=tuple(sol.y[:, -1]),
+                               hits=[(te[0], ye[0]) if len(te) else None
+                                     for te, ye in zip(sol.t_events, sol.y_events)])
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
